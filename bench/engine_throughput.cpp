@@ -4,25 +4,20 @@
 // Sweeps a matrix of circuits x engine configurations and reports, per
 // entry, faults/sec, eval-cycles/sec, kernel instructions executed and
 // eval_bytes_per_instr (slot-storage bytes streamed per executed kernel
-// instruction — the memory-wall metric):
+// instruction — the memory-wall metric). Every row is one (circuit, fault
+// model, lane width, thread count) point:
 //
-//   b14            — the paper's benchmark: the full engine ladder
-//                    (interpreted vs compiled, full vs cone, 64/256/512
-//                    lanes, single- vs multi-threaded) plus a same-sized
-//                    sampled SET campaign through the injection overlay and
-//                    a complete stuck-at test-pattern campaign through the
-//                    every-cycle force overlay
+//   b14            — the paper's benchmark: the interpreted oracle plus the
+//                    compiled engine at 64/256/512 lanes, single- and
+//                    multi-threaded, plus a same-sized sampled SET campaign
+//                    through the injection overlay and a complete stuck-at
+//                    test-pattern campaign through the every-cycle force
+//                    overlay
 //   pipe8x32       — generator family sweep (pipeline depth x width):
-//   pipe16x64        cone-restricted engines at 64/256/512 lanes, sampled
-//   pipe32x128       SEU campaigns; the per-family faults/sec trend across
-//                    lane widths shows where each circuit shape hits the
-//                    memory wall (best_cone_lane_width per circuit)
-//
-// The *-adaptive-* configurations run the same campaigns under
-// WidthPolicy::kAdaptive (tail/sparse groups at narrower lane tiers,
-// cone-affinity-block-aligned grouping); each engine entry reports its
-// width_policy, lane_occupancy and per-tier group counts so the A/B against
-// the fixed-width twin is visible per line.
+//   pipe16x64        64/256/512 lanes on sampled SEU campaigns; the
+//   pipe32x128       per-family faults/sec trend across lane widths shows
+//                    where each circuit shape hits the memory wall
+//                    (best_lane_width per circuit)
 //
 // The *-noopt-* configurations run with the kernel IR optimizer off
 // (CampaignConfig::optimize = false — sim/kernel_opt.h): the A/B baseline
@@ -31,21 +26,17 @@
 // per-pass deletions), and the identical-classification cross-check
 // covers opt-on vs opt-off rows of the same model like any other pair.
 //
-// Pipelines at or above the on-demand threshold run with on-demand cone
-// derivation automatically (ConePolicy::kAuto), so the matrix also tracks
-// the oracle's schedule-construction cost in the wall-clock numbers.
-//
 // Classification counts are cross-checked across all configurations of the
 // same (circuit, fault model); any disagreement is reported in the JSON
 // ("identical_classifications") and fails the process, so CI can use this
 // bench as a correctness smoke test as well as a perf trajectory.
 //
 // The *-cache-cold-* / *-cache-warm-* twins (b14 and pipe32x128) run the
-// same cone campaign against a fresh artifact-cache directory: the cold
-// twin pays full setup and stores the entry, the warm twin loads it back.
-// Their per-phase JSON ("setup_s", "cache_load_s", "cache_hits") is the
-// committed evidence for the setup-wall speedup; the classification
-// cross-check covers the pair like any other twin.
+// same campaign against a fresh artifact-cache directory: the cold twin
+// pays full setup and stores the entry, the warm twin loads it back. Their
+// per-phase JSON ("setup_s", "cache_load_s", "cache_hits") is the evidence
+// for the cache's setup saving; the classification cross-check covers the
+// pair like any other twin.
 //
 // Usage: engine_throughput [--cycles N] [--repeat N] [--out FILE]
 //                          [--bench-index N] [--baseline FILE]
@@ -61,7 +52,7 @@
 //                    warning but do NOT fail the process (soft-fail check)
 //   --bench-file FILE
 //                    additionally run an external ISCAS-89 .bench netlist
-//                    through the cone-engine ladder (complete SEU campaign,
+//                    through the lane-width ladder (complete SEU campaign,
 //                    same cross-check) — external circuits ride the same
 //                    matrix as the built-ins
 
@@ -101,6 +92,7 @@ struct BenchResult {
   std::string circuit;
   FaultModel model = FaultModel::kSeu;
   CampaignConfig config;
+  std::size_t lanes = 64;  // lane width the groups actually ran at
   unsigned threads = 1;
   std::size_t faults = 0;
   double seconds = 0.0;
@@ -111,12 +103,11 @@ struct BenchResult {
   ParallelFaultSimulator::GroupWidthCounts group_widths;
 
   // Per-phase breakdown: one-time construction phases (kernel compile,
-  // golden/slot traces + word images, cone build) from the engine's
-  // telemetry scalars, plus the best-of grading wall time. compile/golden/
-  // cone are paid once per engine; grade_s is what `seconds` times.
+  // golden trace) from the engine's telemetry scalars, plus the best-of
+  // grading wall time. compile/golden are paid once per engine; grade_s is
+  // what `seconds` times.
   double compile_s = 0.0;
   double golden_s = 0.0;
-  double cone_s = 0.0;
   double cache_load_s = 0.0;
   double cache_store_s = 0.0;
   std::uint64_t cache_hits = 0;
@@ -126,7 +117,7 @@ struct BenchResult {
   // cache-store write-back is excluded — it overlaps no grading and a warm
   // run never pays it).
   [[nodiscard]] double setup_s() const {
-    return compile_s + golden_s + cone_s + cache_load_s;
+    return compile_s + golden_s + cache_load_s;
   }
   [[nodiscard]] double setup_frac() const {
     const double total = setup_s() + seconds;
@@ -163,17 +154,16 @@ struct CircuitSummary {
   std::size_t gates = 0;
   std::size_t ffs = 0;
   std::size_t cycles = 0;
-  std::size_t best_cone_lane_width = 0;  // fastest 1t cone config
+  std::size_t best_lane_width = 0;  // fastest 1t compiled SEU config
 };
 
 void write_json(std::ostream& out, const std::vector<BenchResult>& results,
                 const std::vector<CircuitSummary>& circuits, bool identical,
-                double cone_speedup_64, double set_faults_per_sec,
-                double set_faults_per_sec_full) {
+                double set_faults_per_sec) {
   // Baseline for speedup_vs_base: the first entry of the same circuit —
-  // the interpreted engine on b14, compiled-64-cone on the pipeline
-  // families (which never run the interpreted ladder). Per-circuit
-  // relative only; never compare the column across circuits.
+  // the interpreted engine on b14, compiled-64 on the pipeline families
+  // (which never run the interpreted oracle). Per-circuit relative only;
+  // never compare the column across circuits.
   const auto base_of = [&](const BenchResult& r) -> const BenchResult& {
     for (const BenchResult& b : results) {
       if (b.circuit == r.circuit) return b;
@@ -186,17 +176,14 @@ void write_json(std::ostream& out, const std::vector<BenchResult>& results,
   out << "  \"word512_simd_path\": \"" << word512_simd_path() << "\",\n";
   out << "  \"identical_classifications\": " << (identical ? "true" : "false")
       << ",\n";
-  out << "  \"cone_speedup_64\": " << cone_speedup_64 << ",\n";
   out << "  \"set_faults_per_sec\": " << set_faults_per_sec << ",\n";
-  out << "  \"set_faults_per_sec_full\": " << set_faults_per_sec_full
-      << ",\n";
   out << "  \"circuits\": [\n";
   for (std::size_t i = 0; i < circuits.size(); ++i) {
     const CircuitSummary& c = circuits[i];
     out << "    {\"name\": \"" << c.name << "\", \"nodes\": " << c.nodes
         << ", \"gates\": " << c.gates << ", \"ffs\": " << c.ffs
-        << ", \"cycles\": " << c.cycles << ", \"best_cone_lane_width\": "
-        << c.best_cone_lane_width << "}"
+        << ", \"cycles\": " << c.cycles << ", \"best_lane_width\": "
+        << c.best_lane_width << "}"
         << (i + 1 < circuits.size() ? "," : "") << "\n";
   }
   out << "  ],\n";
@@ -207,20 +194,15 @@ void write_json(std::ostream& out, const std::vector<BenchResult>& results,
     out << "    {\"name\": \"" << r.name << "\", \"circuit\": \""
         << r.circuit << "\", \"model\": \"" << fault_model_name(r.model)
         << "\", \"backend\": \"" << sim_backend_name(r.config.backend)
-        << "\", \"lanes\": " << lane_count(r.config.lanes)
-        << ", \"cone_restricted\": "
-        << (r.config.cone_restricted ? "true" : "false")
-        << ", \"schedule\": \"" << campaign_schedule_name(r.config.schedule)
-        << "\", \"threads\": " << r.threads << ", \"faults\": " << r.faults
+        << "\", \"lanes\": " << r.lanes
+        << ", \"threads\": " << r.threads << ", \"faults\": " << r.faults
         << ", \"seconds\": " << r.seconds
         << ", \"faults_per_sec\": " << r.faults_per_sec()
         << ", \"eval_cycles\": " << r.eval_cycles
         << ", \"eval_instrs\": " << r.eval_instrs
         << ", \"eval_bytes_per_instr\": " << r.eval_bytes_per_instr()
         << ", \"eval_cycles_per_sec\": " << r.eval_cycles_per_sec()
-        << ", \"width_policy\": \""
-        << width_policy_name(r.config.width_policy)
-        << "\", \"lane_occupancy\": " << r.lane_occupancy
+        << ", \"lane_occupancy\": " << r.lane_occupancy
         << ", \"group_widths\": {\"64\": " << r.group_widths.g64
         << ", \"256\": " << r.group_widths.g256
         << ", \"512\": " << r.group_widths.g512 << "}"
@@ -230,7 +212,7 @@ void write_json(std::ostream& out, const std::vector<BenchResult>& results,
         << ", \"folded\": " << r.opt_folded
         << ", \"dead\": " << r.opt_dead << "}"
         << ", \"phases\": {\"compile_s\": " << r.compile_s
-        << ", \"golden_s\": " << r.golden_s << ", \"cone_s\": " << r.cone_s
+        << ", \"golden_s\": " << r.golden_s
         << ", \"cache_load_s\": " << r.cache_load_s
         << ", \"cache_store_s\": " << r.cache_store_s
         << ", \"grade_s\": " << r.seconds
@@ -272,39 +254,25 @@ std::vector<std::pair<std::string, double>> read_baseline(
   return entries;
 }
 
-CampaignConfig full_config(SimBackend b, LaneWidth w, unsigned threads) {
-  return {b, w, threads, /*cone_restricted=*/false,
-          CampaignSchedule::kAsGiven};
+CampaignConfig engine_config(LaneWidth w, unsigned threads) {
+  return {SimBackend::kCompiled, w, threads};
 }
 
-CampaignConfig cone_config(LaneWidth w, unsigned threads) {
-  return {SimBackend::kCompiled, w, threads, /*cone_restricted=*/true,
-          CampaignSchedule::kConeAffine};
-}
-
-/// cone_config with the width-adaptive group planner: sparse and tail
-/// groups drop to narrower lane tiers and align to cone-affinity blocks.
-CampaignConfig adaptive_cone_config(LaneWidth w, unsigned threads) {
-  CampaignConfig config = cone_config(w, threads);
-  config.width_policy = WidthPolicy::kAdaptive;
-  return config;
-}
-
-/// cone_config with the kernel IR optimizer off — the raw-kernel A/B
+/// engine_config with the kernel IR optimizer off — the raw-kernel A/B
 /// baseline the optimizer rows are measured against.
-CampaignConfig noopt_cone_config(LaneWidth w, unsigned threads) {
-  CampaignConfig config = cone_config(w, threads);
+CampaignConfig noopt_config(LaneWidth w, unsigned threads) {
+  CampaignConfig config = engine_config(w, threads);
   config.optimize = false;
   return config;
 }
 
-/// cone_config against a persistent artifact cache. The cold/warm twins
+/// engine_config against a persistent artifact cache. The cold/warm twins
 /// share `dir`: main() wipes it before the circuit runs, construction order
 /// inside run_circuit puts the cold twin first, so the warm twin always
 /// finds the entry the cold one stored.
-CampaignConfig cached_cone_config(LaneWidth w, unsigned threads,
-                                  const std::string& dir) {
-  CampaignConfig config = cone_config(w, threads);
+CampaignConfig cached_config(LaneWidth w, unsigned threads,
+                             const std::string& dir) {
+  CampaignConfig config = engine_config(w, threads);
   config.cache_dir = dir;
   return config;
 }
@@ -365,6 +333,9 @@ void run_circuit(const std::string& circuit_name, const Circuit& circuit,
         r.counts = result.counts();
       }
       r.threads = sim.last_run_threads();  // actual workers, post-clamp
+      r.lanes = r.config.backend == SimBackend::kCompiled
+                    ? lane_count(r.config.lanes)
+                    : 64;  // the interpreted oracle always runs 64 lanes
       if (r.seconds < 0.0 || sim.last_run_seconds() < r.seconds) {
         r.seconds = sim.last_run_seconds();
         r.eval_cycles = sim.last_run_eval_cycles();
@@ -375,14 +346,12 @@ void run_circuit(const std::string& circuit_name, const Circuit& circuit,
       }
     }
   }
-  // Construction-phase scalars, read after the reps so lazily built word
-  // images (wider tiers materialize on first use) are included in golden_s.
+  // Construction-phase scalars.
   for (std::size_t i = 0; i < configs.size(); ++i) {
     BenchResult& r = results[first_result + i];
     const obs::CampaignTelemetry& t = sims[i]->telemetry_snapshot();
     r.compile_s = t.compile_seconds;
     r.golden_s = t.golden_seconds;
-    r.cone_s = t.cone_seconds;
     r.cache_load_s = t.cache_load_seconds;
     r.cache_store_s = t.cache_store_seconds;
     r.cache_hits = t.cache_hits;
@@ -403,13 +372,13 @@ void run_circuit(const std::string& circuit_name, const Circuit& circuit,
   double best_fps = 0.0;
   for (std::size_t i = first_result; i < results.size(); ++i) {
     const BenchResult& r = results[i];
-    if (r.model != FaultModel::kSeu || !r.config.cone_restricted ||
-        r.threads != 1) {
+    if (r.model != FaultModel::kSeu ||
+        r.config.backend != SimBackend::kCompiled || r.threads != 1) {
       continue;
     }
     if (r.faults_per_sec() > best_fps) {
       best_fps = r.faults_per_sec();
-      summary.best_cone_lane_width = lane_count(r.config.lanes);
+      summary.best_lane_width = r.lanes;
     }
   }
   circuits.push_back(std::move(summary));
@@ -481,44 +450,26 @@ int main(int argc, char** argv) {
     const auto stuckat_faults = complete_stuckat_fault_list(sites);
     const std::vector<BenchConfig> configs = {
         {"interpreted-64-1t", kSeu,
-         full_config(SimBackend::kInterpreted, LaneWidth::k64, 1)},
-        {"compiled-64-full-1t", kSeu,
-         full_config(SimBackend::kCompiled, LaneWidth::k64, 1)},
-        {"compiled-64-cone-1t", kSeu, cone_config(LaneWidth::k64, 1)},
-        {"compiled-256-full-1t", kSeu,
-         full_config(SimBackend::kCompiled, LaneWidth::k256, 1)},
-        {"compiled-256-cone-1t", kSeu, cone_config(LaneWidth::k256, 1)},
-        {"compiled-512-full-1t", kSeu,
-         full_config(SimBackend::kCompiled, LaneWidth::k512, 1)},
-        {"compiled-512-cone-1t", kSeu, cone_config(LaneWidth::k512, 1)},
-        {"compiled-512-cone-noopt-1t", kSeu,
-         noopt_cone_config(LaneWidth::k512, 1)},
-        {"compiled-512-cone-adaptive-1t", kSeu,
-         adaptive_cone_config(LaneWidth::k512, 1)},
-        {"compiled-64-cone-mt", kSeu, cone_config(LaneWidth::k64, hw)},
-        {"compiled-256-cone-mt", kSeu, cone_config(LaneWidth::k256, hw)},
-        {"compiled-512-cone-mt", kSeu, cone_config(LaneWidth::k512, hw)},
-        {"set-64-full-1t", kSet,
-         full_config(SimBackend::kCompiled, LaneWidth::k64, 1)},
-        {"set-64-cone-1t", kSet, cone_config(LaneWidth::k64, 1)},
-        {"set-256-cone-1t", kSet, cone_config(LaneWidth::k256, 1)},
-        {"set-512-cone-1t", kSet, cone_config(LaneWidth::k512, 1)},
-        {"set-512-cone-noopt-1t", kSet,
-         noopt_cone_config(LaneWidth::k512, 1)},
-        {"set-512-cone-adaptive-1t", kSet,
-         adaptive_cone_config(LaneWidth::k512, 1)},
-        {"set-64-cone-mt", kSet, cone_config(LaneWidth::k64, hw)},
-        {"stuckat-64-cone-1t", kStuckAt, cone_config(LaneWidth::k64, 1)},
-        {"stuckat-512-cone-1t", kStuckAt, cone_config(LaneWidth::k512, 1)},
-        {"stuckat-512-cone-noopt-1t", kStuckAt,
-         noopt_cone_config(LaneWidth::k512, 1)},
-        {"stuckat-512-cone-adaptive-1t", kStuckAt,
-         adaptive_cone_config(LaneWidth::k512, 1)},
-        {"stuckat-64-cone-mt", kStuckAt, cone_config(LaneWidth::k64, hw)},
-        {"compiled-512-cone-cache-cold-1t", kSeu,
-         cached_cone_config(LaneWidth::k512, 1, b14_cache_dir)},
-        {"compiled-512-cone-cache-warm-1t", kSeu,
-         cached_cone_config(LaneWidth::k512, 1, b14_cache_dir)},
+         {SimBackend::kInterpreted, LaneWidth::k64, 1}},
+        {"compiled-64-1t", kSeu, engine_config(LaneWidth::k64, 1)},
+        {"compiled-256-1t", kSeu, engine_config(LaneWidth::k256, 1)},
+        {"compiled-512-1t", kSeu, engine_config(LaneWidth::k512, 1)},
+        {"compiled-512-noopt-1t", kSeu, noopt_config(LaneWidth::k512, 1)},
+        {"compiled-64-mt", kSeu, engine_config(LaneWidth::k64, hw)},
+        {"compiled-256-mt", kSeu, engine_config(LaneWidth::k256, hw)},
+        {"compiled-512-mt", kSeu, engine_config(LaneWidth::k512, hw)},
+        {"set-64-1t", kSet, engine_config(LaneWidth::k64, 1)},
+        {"set-512-1t", kSet, engine_config(LaneWidth::k512, 1)},
+        {"set-512-noopt-1t", kSet, noopt_config(LaneWidth::k512, 1)},
+        {"set-512-mt", kSet, engine_config(LaneWidth::k512, hw)},
+        {"stuckat-64-1t", kStuckAt, engine_config(LaneWidth::k64, 1)},
+        {"stuckat-512-1t", kStuckAt, engine_config(LaneWidth::k512, 1)},
+        {"stuckat-512-noopt-1t", kStuckAt, noopt_config(LaneWidth::k512, 1)},
+        {"stuckat-512-mt", kStuckAt, engine_config(LaneWidth::k512, hw)},
+        {"compiled-512-cache-cold-1t", kSeu,
+         cached_config(LaneWidth::k512, 1, b14_cache_dir)},
+        {"compiled-512-cache-warm-1t", kSeu,
+         cached_config(LaneWidth::k512, 1, b14_cache_dir)},
     };
     run_circuit("b14", circuit, tb, faults, set_faults, stuckat_faults,
                 configs, repeat, results, circuit_summaries);
@@ -526,11 +477,9 @@ int main(int argc, char** argv) {
 
   // ---- generator family sweep: pipeline depth x width --------------------
   //
-  // Cone-restricted engines across the three lane widths on sampled SEU
-  // campaigns. The family spans ~0.8k to ~12k gates, so the per-family
-  // lane-width trend shows where each circuit shape's working set crosses
-  // the cache hierarchy (pipe32x128 runs with on-demand cones via kAuto
-  // once it crosses the node threshold).
+  // The three lane widths on sampled SEU campaigns. The family spans ~0.8k
+  // to ~12k gates, so the per-family lane-width trend shows where each
+  // circuit shape's working set crosses the cache hierarchy.
   struct Family {
     const char* name;
     std::size_t stages;
@@ -555,34 +504,27 @@ int main(int argc, char** argv) {
             : sample_fault_list(circuit.num_dffs(), tb.num_cycles(),
                                 family.sample, 2005);
     std::vector<BenchConfig> configs = {
-        {"compiled-64-cone-1t", kSeu, cone_config(LaneWidth::k64, 1)},
-        {"compiled-256-cone-1t", kSeu, cone_config(LaneWidth::k256, 1)},
-        {"compiled-512-cone-1t", kSeu, cone_config(LaneWidth::k512, 1)},
-        {"compiled-512-cone-noopt-1t", kSeu,
-         noopt_cone_config(LaneWidth::k512, 1)},
-        {"compiled-512-cone-adaptive-1t", kSeu,
-         adaptive_cone_config(LaneWidth::k512, 1)},
-        {"compiled-512-cone-mt", kSeu, cone_config(LaneWidth::k512, hw)},
-        {"compiled-512-cone-adaptive-mt", kSeu,
-         adaptive_cone_config(LaneWidth::k512, hw)},
+        {"compiled-64-1t", kSeu, engine_config(LaneWidth::k64, 1)},
+        {"compiled-256-1t", kSeu, engine_config(LaneWidth::k256, 1)},
+        {"compiled-512-1t", kSeu, engine_config(LaneWidth::k512, 1)},
+        {"compiled-512-noopt-1t", kSeu, noopt_config(LaneWidth::k512, 1)},
+        {"compiled-512-mt", kSeu, engine_config(LaneWidth::k512, hw)},
     };
     // Cache twins on the largest family only — it has the tallest setup
-    // wall (the eager-cone build), so it is the speedup evidence.
+    // wall, so it is the saving's evidence.
     std::string family_cache_dir;
     if (family.name == std::string("pipe32x128")) {
       family_cache_dir = fresh_cache_dir(family.name);
-      configs.push_back({"compiled-512-cone-cache-cold-1t", kSeu,
-                         cached_cone_config(LaneWidth::k512, 1,
-                                            family_cache_dir)});
-      configs.push_back({"compiled-512-cone-cache-warm-1t", kSeu,
-                         cached_cone_config(LaneWidth::k512, 1,
-                                            family_cache_dir)});
+      configs.push_back({"compiled-512-cache-cold-1t", kSeu,
+                         cached_config(LaneWidth::k512, 1, family_cache_dir)});
+      configs.push_back({"compiled-512-cache-warm-1t", kSeu,
+                         cached_config(LaneWidth::k512, 1, family_cache_dir)});
     }
     run_circuit(family.name, circuit, tb, faults, {}, {}, configs, repeat,
                 results, circuit_summaries);
   }
 
-  // ---- external .bench netlist through the cone ladder -------------------
+  // ---- external .bench netlist through the lane-width ladder -------------
   if (!bench_file.empty()) {
     const Circuit circuit = load_bench_file(bench_file);
     const Testbench tb =
@@ -590,11 +532,9 @@ int main(int argc, char** argv) {
     const auto faults =
         complete_fault_list(circuit.num_dffs(), tb.num_cycles());
     const std::vector<BenchConfig> configs = {
-        {"compiled-64-full-1t", kSeu,
-         full_config(SimBackend::kCompiled, LaneWidth::k64, 1)},
-        {"compiled-64-cone-1t", kSeu, cone_config(LaneWidth::k64, 1)},
-        {"compiled-256-cone-1t", kSeu, cone_config(LaneWidth::k256, 1)},
-        {"compiled-512-cone-1t", kSeu, cone_config(LaneWidth::k512, 1)},
+        {"compiled-64-1t", kSeu, engine_config(LaneWidth::k64, 1)},
+        {"compiled-256-1t", kSeu, engine_config(LaneWidth::k256, 1)},
+        {"compiled-512-1t", kSeu, engine_config(LaneWidth::k512, 1)},
     };
     run_circuit(circuit.name(), circuit, tb, faults, {}, {}, configs, repeat,
                 results, circuit_summaries);
@@ -617,40 +557,27 @@ int main(int argc, char** argv) {
                 r.counts.silent == base_of_model->counts.silent;
   }
 
-  // The tentpole numbers (b14): cone vs full at 64 lanes, and the SET
-  // overlay throughput, both single-threaded.
-  const auto fps_of = [&](const char* name) {
-    for (const BenchResult& r : results) {
-      if (r.name == name) return r.faults_per_sec();
-    }
-    return 0.0;
-  };
-  const double full64 = fps_of("b14/compiled-64-full-1t");
-  const double cone64 = fps_of("b14/compiled-64-cone-1t");
-  const double cone_speedup_64 = full64 > 0.0 ? cone64 / full64 : 0.0;
-  const double set_cone64 = fps_of("b14/set-64-cone-1t");
-  const double set_full64 = fps_of("b14/set-64-full-1t");
-  std::cerr << "cone-restricted speedup vs full-eval (b14, 64 lanes, 1t): "
-            << cone_speedup_64 << "x\n";
-  std::cerr << "SET throughput (b14, 64 lanes, 1t): cone " << set_cone64
-            << " faults/s, full-eval " << set_full64 << " faults/s\n";
+  // The headline SET number (b14): overlay throughput at 512 lanes, 1t.
+  double set512 = 0.0;
+  for (const BenchResult& r : results) {
+    if (r.name == "b14/set-512-1t") set512 = r.faults_per_sec();
+  }
+  std::cerr << "SET throughput (b14, 512 lanes, 1t): " << set512
+            << " faults/s\n";
   std::cerr << "Word512 SIMD path: " << word512_simd_path() << "\n";
   for (const CircuitSummary& c : circuit_summaries) {
-    std::cerr << c.name << ": best cone lane width " << c.best_cone_lane_width
-              << "\n";
+    std::cerr << c.name << ": best lane width " << c.best_lane_width << "\n";
   }
 
   if (out_path.empty()) {
-    write_json(std::cout, results, circuit_summaries, identical,
-               cone_speedup_64, set_cone64, set_full64);
+    write_json(std::cout, results, circuit_summaries, identical, set512);
   } else {
     std::ofstream out(out_path);
     if (!out) {
       std::cerr << "cannot open " << out_path << "\n";
       return 2;
     }
-    write_json(out, results, circuit_summaries, identical, cone_speedup_64,
-               set_cone64, set_full64);
+    write_json(out, results, circuit_summaries, identical, set512);
     std::cerr << "wrote " << out_path << "\n";
   }
 

@@ -2,7 +2,7 @@
 //
 //   fault_grade_cli [circuit] [cycles] [technique] [sample] [seed]
 //                   [--model seu|mbu|set|stuckat] [--pulse-width F]
-//                   [--lanes 64|256|512] [--width-policy fixed|adaptive]
+//                   [--lanes 64|256|512]
 //                   [--bench FILE] [--no-optimize] [--cache-dir DIR]
 //                   [--journal PATH] [--resume] [--regrade-from SPEC]
 //                   [--progress] [--trace-out FILE] [--metrics-out FILE]
@@ -39,15 +39,9 @@
 //                each downstream flip-flop only when they overlap its setup
 //                window (probability == the fraction)
 //     --lanes    grading-engine lane width: 64, 256 or 512 faulty machines
-//                per pass [default: 64]. 512 uses AVX-512 when the host
+//                per pass [default: 512]. 512 uses AVX-512 when the host
 //                supports it and portable limbs otherwise; the chosen SIMD
 //                path is reported in --json output ("simd")
-//     --width-policy fixed|adaptive
-//                fault-group width policy [default: fixed]. `adaptive` lets
-//                the engine run sparse/tail groups at a narrower lane tier
-//                and align groups to cone-affinity blocks (identical
-//                classifications, higher lane occupancy on sampled
-//                campaigns); compiled backend only
 //     --bench FILE
 //                grade an external netlist in the ISCAS-89 .bench format
 //                (netlist/bench_io.h) instead of a registry circuit. Any
@@ -62,8 +56,8 @@
 //                (and so faults/s) changes. The reduction shows up in
 //                --json as the "optimizer" object
 //     --cache-dir DIR
-//                persist the campaign setup artifacts (golden traces, cone
-//                structures, cone-affine order, optimized kernel) in DIR,
+//                persist the campaign setup artifacts (golden trace,
+//                optimized kernel) in DIR,
 //                content-addressed by circuit/testbench/optimizer hashes
 //                (fault/artifact_cache.h). The first campaign over a given
 //                (circuit, testbench) pays setup and stores; later ones
@@ -94,9 +88,9 @@
 //     --trace-out FILE
 //                write a Chrome trace-event JSON of the campaign to FILE:
 //                one track per worker with one slice per retired lane group
-//                (args: width, live lanes, occupancy %, narrowings, cone
-//                instructions), a campaign track with the serial phases
-//                (compile, golden trace, cone build, plan, grade, ...), and
+//                (args: width, live lanes, occupancy %, instructions), a
+//                campaign track with the serial phases (compile, golden
+//                trace, plan, grade, ...), and
 //                a journal track with per-group flush spans. Open in
 //                Perfetto (ui.perfetto.dev) or chrome://tracing
 //     --metrics-out FILE
@@ -176,21 +170,12 @@ LaneWidth parse_lanes(const std::string& spec) {
   throw Error(str_cat("unknown lane width '", spec, "' (64 | 256 | 512)"));
 }
 
-WidthPolicy parse_width_policy(const std::string& spec) {
-  if (spec == "fixed") return WidthPolicy::kFixed;
-  if (spec == "adaptive") return WidthPolicy::kAdaptive;
-  throw Error(
-      str_cat("unknown width policy '", spec, "' (fixed | adaptive)"));
-}
-
-/// ", \"width_policy\": ..., \"lane_occupancy\": ..." — the engine work
+/// ", \"lane_occupancy\": ..." — the engine work
 /// metrics of the run that just finished, appended to every model's JSON.
 std::string engine_metrics_json(const ParallelFaultSimulator& sim) {
   const auto& widths = sim.last_run_group_widths();
   const obs::CampaignTelemetry& t = sim.telemetry_snapshot();
-  return str_cat(", \"width_policy\": \"",
-                 width_policy_name(sim.config().width_policy),
-                 "\", \"lane_occupancy\": ", sim.last_run_lane_occupancy(),
+  return str_cat(", \"lane_occupancy\": ", sim.last_run_lane_occupancy(),
                  ", \"eval_bytes_per_instr\": ",
                  sim.last_run_eval_bytes_per_instr(),
                  ", \"group_widths\": {\"64\": ", widths.g64,
@@ -300,7 +285,7 @@ std::string json_escape(std::string_view text) {
 int run_seu_journaled(const Circuit& circuit, const Testbench& tb,
                       std::size_t cycles, std::size_t sample,
                       std::uint64_t seed, LaneWidth lanes,
-                      WidthPolicy width_policy, bool optimize,
+                      bool optimize,
                       const std::string& cache_dir,
                       const std::string& journal_path, bool resume,
                       const std::string& regrade_spec,
@@ -313,7 +298,6 @@ int run_seu_journaled(const Circuit& circuit, const Testbench& tb,
 
   CampaignConfig config;
   config.lanes = lanes;
-  config.width_policy = width_policy;
   config.optimize = optimize;
   config.telemetry = telemetry;
   config.cache_dir = cache_dir;
@@ -395,12 +379,11 @@ int run_seu_journaled(const Circuit& circuit, const Testbench& tb,
 
 int run_seu(const Circuit& circuit, const Testbench& tb, std::size_t cycles,
             const std::string& technique_spec, std::size_t sample,
-            std::uint64_t seed, LaneWidth lanes, WidthPolicy width_policy,
-            bool optimize, const std::string& cache_dir,
+            std::uint64_t seed, LaneWidth lanes, bool optimize,
+            const std::string& cache_dir,
             obs::TelemetryCollector* telemetry, bool json) {
   EmulatorOptions options;
   options.campaign.lanes = lanes;
-  options.campaign.width_policy = width_policy;
   options.campaign.optimize = optimize;
   options.campaign.telemetry = telemetry;
   options.campaign.cache_dir = cache_dir;
@@ -467,8 +450,7 @@ int run_seu(const Circuit& circuit, const Testbench& tb, std::size_t cycles,
 
 int run_mbu(const Circuit& circuit, const Testbench& tb, std::size_t cycles,
             std::size_t sample, std::uint64_t seed, LaneWidth lanes,
-            WidthPolicy width_policy, bool optimize,
-            const std::string& cache_dir,
+            bool optimize, const std::string& cache_dir,
             obs::TelemetryCollector* telemetry, bool json) {
   // Complete campaign: all adjacent FF pairs x all cycles (the dominant
   // physical MBU pattern); a sample draws random locality clusters instead.
@@ -480,7 +462,6 @@ int run_mbu(const Circuit& circuit, const Testbench& tb, std::size_t cycles,
                                      seed);
   CampaignConfig config;
   config.lanes = lanes;
-  config.width_policy = width_policy;
   config.optimize = optimize;
   config.telemetry = telemetry;
   config.cache_dir = cache_dir;
@@ -502,7 +483,7 @@ int run_mbu(const Circuit& circuit, const Testbench& tb, std::size_t cycles,
 
 int run_set(const Circuit& circuit, const Testbench& tb, std::size_t cycles,
             std::size_t sample, std::uint64_t seed, LaneWidth lanes,
-            WidthPolicy width_policy, bool optimize, std::uint16_t pulse_q,
+            bool optimize, std::uint16_t pulse_q,
             const std::string& cache_dir,
             obs::TelemetryCollector* telemetry, bool json) {
   const SetSites sites(circuit);
@@ -514,7 +495,6 @@ int run_set(const Circuit& circuit, const Testbench& tb, std::size_t cycles,
                                         pulse_q);
   CampaignConfig config;
   config.lanes = lanes;
-  config.width_policy = width_policy;
   config.optimize = optimize;
   config.telemetry = telemetry;
   config.cache_dir = cache_dir;
@@ -568,7 +548,7 @@ int run_set(const Circuit& circuit, const Testbench& tb, std::size_t cycles,
 
 int run_stuckat(const Circuit& circuit, const Testbench& tb,
                 std::size_t cycles, std::size_t sample, std::uint64_t seed,
-                LaneWidth lanes, WidthPolicy width_policy, bool optimize,
+                LaneWidth lanes, bool optimize,
                 const std::string& cache_dir,
                 obs::TelemetryCollector* telemetry, bool json) {
   const SetSites sites(circuit);
@@ -578,7 +558,6 @@ int run_stuckat(const Circuit& circuit, const Testbench& tb,
                           : sample_stuckat_fault_list(sites, sample, seed);
   CampaignConfig config;
   config.lanes = lanes;
-  config.width_policy = width_policy;
   config.optimize = optimize;
   config.telemetry = telemetry;
   config.cache_dir = cache_dir;
@@ -644,8 +623,7 @@ int main(int argc, char** argv) {
     // Flags first (position-independent), positionals keep their order.
     std::vector<std::string> positional;
     std::string model_spec = "seu";
-    std::string lanes_spec = "64";
-    std::string width_policy_spec = "fixed";
+    std::string lanes_spec = "512";
     std::string bench_path;
     std::string cache_dir;
     std::string journal_path;
@@ -662,8 +640,6 @@ int main(int argc, char** argv) {
         model_spec = argv[++i];
       } else if (arg == "--lanes" && i + 1 < argc) {
         lanes_spec = argv[++i];
-      } else if (arg == "--width-policy" && i + 1 < argc) {
-        width_policy_spec = argv[++i];
       } else if (arg == "--pulse-width" && i + 1 < argc) {
         pulse_q = set_pulse_q(std::stod(argv[++i]));
       } else if (arg == "--bench" && i + 1 < argc) {
@@ -708,7 +684,6 @@ int main(int argc, char** argv) {
         positional.size() > 4 ? std::stoull(positional[4]) : 2005;
     const FaultModel model = parse_model(model_spec);
     const LaneWidth lanes = parse_lanes(lanes_spec);
-    const WidthPolicy width_policy = parse_width_policy(width_policy_spec);
 
     const Circuit circuit = !bench_path.empty() ? load_bench_file(bench_path)
                                                  : load_circuit(circuit_spec);
@@ -731,7 +706,7 @@ int main(int argc, char** argv) {
     // One collector for the whole invocation, created only when asked for —
     // a null pointer keeps the engine on its zero-cost fast path. It must
     // exist before the simulator so the construction phases (kernel compile,
-    // golden trace, cone build) land on the campaign track.
+    // golden trace) land on the campaign track.
     std::unique_ptr<obs::TelemetryCollector> telemetry;
     if (progress || !trace_out.empty() || !metrics_out.empty()) {
       telemetry = std::make_unique<obs::TelemetryCollector>();
@@ -745,25 +720,22 @@ int main(int argc, char** argv) {
       case FaultModel::kSeu:
         rc = !journal_path.empty()
                  ? run_seu_journaled(circuit, tb, cycles, sample, seed, lanes,
-                                     width_policy, optimize, cache_dir,
-                                     journal_path, resume, regrade_spec,
-                                     telemetry.get(), json)
+                                     optimize, cache_dir, journal_path, resume,
+                                     regrade_spec, telemetry.get(), json)
                  : run_seu(circuit, tb, cycles, technique_spec, sample, seed,
-                           lanes, width_policy, optimize, cache_dir,
-                           telemetry.get(), json);
+                           lanes, optimize, cache_dir, telemetry.get(), json);
         break;
       case FaultModel::kMbu:
-        rc = run_mbu(circuit, tb, cycles, sample, seed, lanes, width_policy,
-                     optimize, cache_dir, telemetry.get(), json);
+        rc = run_mbu(circuit, tb, cycles, sample, seed, lanes, optimize,
+                     cache_dir, telemetry.get(), json);
         break;
       case FaultModel::kSet:
-        rc = run_set(circuit, tb, cycles, sample, seed, lanes, width_policy,
-                     optimize, pulse_q, cache_dir, telemetry.get(), json);
+        rc = run_set(circuit, tb, cycles, sample, seed, lanes, optimize,
+                     pulse_q, cache_dir, telemetry.get(), json);
         break;
       case FaultModel::kStuckAt:
-        rc = run_stuckat(circuit, tb, cycles, sample, seed, lanes,
-                         width_policy, optimize, cache_dir, telemetry.get(),
-                         json);
+        rc = run_stuckat(circuit, tb, cycles, sample, seed, lanes, optimize,
+                         cache_dir, telemetry.get(), json);
         break;
     }
     write_telemetry_outputs(telemetry.get(), trace_out, metrics_out);

@@ -14,8 +14,8 @@ namespace femu {
 /// Splits [0, n) into at most `num_threads` contiguous ranges and runs
 /// `fn(begin, end)` on each, the first range on the calling thread. This is
 /// the construction-side analogue of the campaign sharder: callers guarantee
-/// every range writes a disjoint slice of the output (per-FF cone rows,
-/// per-cycle trace snapshots, per-cycle word-image blocks), so the result is
+/// every range writes a disjoint slice of the output (per-cycle trace
+/// snapshots), so the result is
 /// bit-identical to the serial loop for any thread count — parallelism here
 /// is purely a latency knob, never an outcome knob.
 ///

@@ -27,7 +27,7 @@ struct EmulatorOptions {
   bool enforce_fit = false;         ///< throw CapacityError when the system
                                     ///< exceeds the board
   CampaignConfig campaign{};        ///< grading-engine config (lane width,
-                                    ///< cone policy, threads, ...)
+                                    ///< threads, optimizer, ...)
 };
 
 /// Synthesis-side results of one technique on one circuit (Table 1 row).

@@ -13,7 +13,7 @@ namespace femu {
 namespace {
 
 constexpr char kFileMagic[8] = {'F', 'E', 'M', 'U', 'A', 'R', 'T', '\0'};
-constexpr std::uint32_t kArtifactVersion = 1;
+constexpr std::uint32_t kArtifactVersion = 2;
 
 using Payload = std::vector<std::uint8_t>;
 
@@ -29,7 +29,9 @@ void put_vec(Payload& out, std::span<const T> v) {
   put<std::uint64_t>(out, v.size());
   const std::size_t at = out.size();
   out.resize(at + v.size() * sizeof(T));
-  std::memcpy(out.data() + at, v.data(), v.size() * sizeof(T));
+  if (!v.empty()) {  // an empty vector's data() may be null
+    std::memcpy(out.data() + at, v.data(), v.size() * sizeof(T));
+  }
 }
 
 void put_bitvec(Payload& out, const BitVec& v) {
@@ -51,6 +53,9 @@ struct Reader {
   [[nodiscard]] bool take(void* out, std::size_t len) {
     if (size - pos < len) {
       return false;
+    }
+    if (len == 0) {
+      return true;  // `out` may be an empty vector's null data()
     }
     std::memcpy(out, data + pos, len);
     pos += len;
@@ -116,32 +121,10 @@ void put_trace(Payload& out, const GoldenTrace& trace) {
   return trace.states.size() == trace.outputs.size() + 1;
 }
 
-void put_slot_trace(Payload& out, const GoldenSlotTrace& trace) {
-  put<std::uint64_t>(out, trace.num_slots);
-  put<std::uint64_t>(out, trace.cycles.size());
-  for (const BitVec& v : trace.cycles) put_bitvec(out, v);
-}
-
-[[nodiscard]] bool take_slot_trace(Reader& r, const Circuit& circuit,
-                                   GoldenSlotTrace& trace) {
-  std::uint64_t num_slots = 0;
-  std::uint64_t cycles = 0;
-  if (!r.get(num_slots) || !r.get(cycles) ||
-      num_slots != circuit.node_count()) {
-    return false;
-  }
-  trace.num_slots = static_cast<std::size_t>(num_slots);
-  trace.cycles.resize(static_cast<std::size_t>(cycles));
-  for (BitVec& v : trace.cycles) {
-    if (!r.get_bitvec(v) || v.size() != trace.num_slots) return false;
-  }
-  return true;
-}
-
 }  // namespace
 
-/// Friend of CompiledKernel / FanoutCones / ConeOracle: the only code that
-/// reads or rebuilds their private representation for serialization.
+/// Friend of CompiledKernel: the only code that reads or rebuilds its
+/// private representation for serialization.
 struct ArtifactCacheAccess {
   static void save_kernel(Payload& out, const CompiledKernel& k) {
     put<std::uint64_t>(out, k.num_slots_);
@@ -156,7 +139,6 @@ struct ArtifactCacheAccess {
       put<std::uint8_t>(out, static_cast<std::uint8_t>(in.op));
       put<std::uint8_t>(out, in.neg);
     }
-    put_vec<std::uint32_t>(out, k.levels_);
     put_vec<std::uint32_t>(out, k.input_slots_);
     put_vec<std::uint32_t>(out, k.dff_slots_);
     put_vec<std::uint32_t>(out, k.dff_d_slots_);
@@ -199,8 +181,7 @@ struct ArtifactCacheAccess {
       }
       return true;
     };
-    if (!r.get_vec(k->levels_) || k->levels_.size() != num_slots ||
-        !r.get_vec(k->input_slots_) ||
+    if (!r.get_vec(k->input_slots_) ||
         !bounded(k->input_slots_, circuit.num_inputs()) ||
         !r.get_vec(k->dff_slots_) ||
         !bounded(k->dff_slots_, circuit.num_dffs()) ||
@@ -227,91 +208,6 @@ struct ArtifactCacheAccess {
     return true;
   }
 
-  static void save_eager(Payload& out, const FanoutCones& c) {
-    put<std::uint64_t>(out, c.num_ffs_);
-    put<std::uint64_t>(out, c.num_nodes_);
-    put<std::uint64_t>(out, c.words_per_cone_);
-    put_vec<std::uint64_t>(out, c.bits_);
-    put<std::uint64_t>(out, c.cone_gates_.size());
-    for (const std::size_t g : c.cone_gates_) {
-      put<std::uint64_t>(out, g);
-    }
-  }
-
-  [[nodiscard]] static bool load_eager(Reader& r, const Circuit& circuit,
-                                       std::unique_ptr<FanoutCones>& out) {
-    std::unique_ptr<FanoutCones> c(new FanoutCones());
-    std::uint64_t num_ffs = 0;
-    std::uint64_t num_nodes = 0;
-    std::uint64_t words = 0;
-    if (!r.get(num_ffs) || !r.get(num_nodes) || !r.get(words) ||
-        num_ffs != circuit.num_dffs() || num_nodes != circuit.node_count() ||
-        words != (circuit.node_count() + 63) / 64) {
-      return false;
-    }
-    c->num_ffs_ = static_cast<std::size_t>(num_ffs);
-    c->num_nodes_ = static_cast<std::size_t>(num_nodes);
-    c->words_per_cone_ = static_cast<std::size_t>(words);
-    if (!r.get_vec(c->bits_) || c->bits_.size() != num_ffs * words) {
-      return false;
-    }
-    std::uint64_t n_gates = 0;
-    if (!r.get(n_gates) || n_gates != num_ffs) {
-      return false;
-    }
-    c->cone_gates_.resize(static_cast<std::size_t>(n_gates));
-    for (std::size_t& g : c->cone_gates_) {
-      std::uint64_t v = 0;
-      if (!r.get(v)) return false;
-      g = static_cast<std::size_t>(v);
-    }
-    out = std::move(c);
-    return true;
-  }
-
-  static void save_oracle(Payload& out, const ConeOracle& o) {
-    put<std::uint64_t>(out, o.num_ffs_);
-    put<std::uint64_t>(out, o.num_nodes_);
-    put<std::uint64_t>(out, o.words_per_cone_);
-    put_vec<std::uint32_t>(out, o.head_);
-    put_vec<std::uint32_t>(out, o.adj_);
-    put_vec<NodeId>(out, o.dffs_);
-  }
-
-  [[nodiscard]] static bool load_oracle(Reader& r, const Circuit& circuit,
-                                        std::unique_ptr<ConeOracle>& out) {
-    std::unique_ptr<ConeOracle> o(new ConeOracle());
-    std::uint64_t num_ffs = 0;
-    std::uint64_t num_nodes = 0;
-    std::uint64_t words = 0;
-    if (!r.get(num_ffs) || !r.get(num_nodes) || !r.get(words) ||
-        num_ffs != circuit.num_dffs() || num_nodes != circuit.node_count() ||
-        words != (circuit.node_count() + 63) / 64) {
-      return false;
-    }
-    o->num_ffs_ = static_cast<std::size_t>(num_ffs);
-    o->num_nodes_ = static_cast<std::size_t>(num_nodes);
-    o->words_per_cone_ = static_cast<std::size_t>(words);
-    if (!r.get_vec(o->head_) || o->head_.size() != num_nodes + 1 ||
-        !r.get_vec(o->adj_) || !r.get_vec(o->dffs_) ||
-        o->dffs_.size() != num_ffs) {
-      return false;
-    }
-    if (o->head_.front() != 0 || o->head_.back() != o->adj_.size()) {
-      return false;
-    }
-    for (std::size_t v = 0; v < num_nodes; ++v) {
-      if (o->head_[v] > o->head_[v + 1]) return false;
-    }
-    for (const std::uint32_t w : o->adj_) {
-      if (w >= num_nodes) return false;
-    }
-    for (const NodeId d : o->dffs_) {
-      if (d >= num_nodes) return false;
-    }
-    out = std::move(o);
-    return true;
-  }
 };
 
 std::uint64_t ArtifactCacheKey::combined() const {
@@ -344,18 +240,10 @@ std::uint64_t optimizer_pipeline_hash(bool optimize,
   return h.digest();
 }
 
-std::uint64_t artifact_shape_hash(bool on_demand_cones, bool need_cones,
-                                  bool slot_trace, bool opt_kernel,
-                                  std::uint64_t order_group_width,
-                                  std::uint64_t order_greedy_cap) {
+std::uint64_t artifact_shape_hash(bool opt_kernel) {
   Fnv64 h;
-  h.str("artifact-shape:v1");
-  h.u8(on_demand_cones ? 1 : 0);
-  h.u8(need_cones ? 1 : 0);
-  h.u8(slot_trace ? 1 : 0);
+  h.str("artifact-shape:v2");
   h.u8(opt_kernel ? 1 : 0);
-  h.u64(order_group_width);
-  h.u64(order_greedy_cap);
   return h.digest();
 }
 
@@ -447,47 +335,14 @@ ArtifactLoadResult load_artifacts(const std::string& dir,
     return res;
   }
 
-  const auto flag = [&](bool& has) {
-    std::uint8_t f = 0;
-    if (!r.get(f) || f > 1) return false;
-    has = f != 0;
-    return true;
-  };
-  bool has_eager = false;
-  bool has_oracle = false;
-  bool has_opt_kernel = false;
   ArtifactBundle& b = res.bundle;
-  if (!flag(b.has_golden) ||
-      (b.has_golden && !take_trace(r, circuit, b.golden))) {
+  if (!take_trace(r, circuit, b.golden)) {
     return corrupt("malformed golden-trace section");
   }
-  if (!flag(b.has_slot_trace) ||
-      (b.has_slot_trace && !take_slot_trace(r, circuit, b.slot_trace))) {
-    return corrupt("malformed slot-trace section");
-  }
-  if (!flag(b.has_ff_rank) ||
-      (b.has_ff_rank && (!r.get_vec(b.ff_affinity_rank) ||
-                         b.ff_affinity_rank.size() != circuit.num_dffs()))) {
-    return corrupt("malformed affinity-rank section");
-  }
-  if (!flag(b.has_labels) ||
-      (b.has_labels && (!r.get_vec(b.next_ff_labels) ||
-                        b.next_ff_labels.size() != circuit.node_count()))) {
-    return corrupt("malformed next-ff-labels section");
-  }
-  if (!flag(has_eager) ||
-      (has_eager && !ArtifactCacheAccess::load_eager(r, circuit,
-                                                     b.eager_cones))) {
-    return corrupt("malformed eager-cones section");
-  }
-  if (!flag(has_oracle) ||
-      (has_oracle && !ArtifactCacheAccess::load_oracle(r, circuit,
-                                                       b.oracle))) {
-    return corrupt("malformed cone-oracle section");
-  }
-  if (!flag(has_opt_kernel) ||
-      (has_opt_kernel && !ArtifactCacheAccess::load_kernel(r, circuit,
-                                                           b.opt_kernel))) {
+  std::uint8_t has_opt_kernel = 0;
+  if (!r.get(has_opt_kernel) || has_opt_kernel > 1 ||
+      (has_opt_kernel != 0 &&
+       !ArtifactCacheAccess::load_kernel(r, circuit, b.opt_kernel))) {
     return corrupt("malformed optimized-kernel section");
   }
   if (r.pos != r.size) {
@@ -516,26 +371,7 @@ ArtifactStoreResult store_artifacts(const std::string& dir,
   put<std::uint64_t>(payload, key.optimizer);
   put<std::uint64_t>(payload, key.shape);
 
-  put<std::uint8_t>(payload, view.golden != nullptr ? 1 : 0);
-  if (view.golden != nullptr) put_trace(payload, *view.golden);
-  put<std::uint8_t>(payload, view.slot_trace != nullptr ? 1 : 0);
-  if (view.slot_trace != nullptr) put_slot_trace(payload, *view.slot_trace);
-  put<std::uint8_t>(payload, view.ff_affinity_rank != nullptr ? 1 : 0);
-  if (view.ff_affinity_rank != nullptr) {
-    put_vec<std::uint32_t>(payload, *view.ff_affinity_rank);
-  }
-  put<std::uint8_t>(payload, view.next_ff_labels != nullptr ? 1 : 0);
-  if (view.next_ff_labels != nullptr) {
-    put_vec<std::uint32_t>(payload, *view.next_ff_labels);
-  }
-  put<std::uint8_t>(payload, view.eager_cones != nullptr ? 1 : 0);
-  if (view.eager_cones != nullptr) {
-    ArtifactCacheAccess::save_eager(payload, *view.eager_cones);
-  }
-  put<std::uint8_t>(payload, view.oracle != nullptr ? 1 : 0);
-  if (view.oracle != nullptr) {
-    ArtifactCacheAccess::save_oracle(payload, *view.oracle);
-  }
+  put_trace(payload, *view.golden);
   put<std::uint8_t>(payload, view.opt_kernel != nullptr ? 1 : 0);
   if (view.opt_kernel != nullptr) {
     ArtifactCacheAccess::save_kernel(payload, *view.opt_kernel);

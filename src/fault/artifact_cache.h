@@ -7,49 +7,39 @@
 #include <vector>
 
 #include "netlist/circuit.h"
-#include "netlist/fanout_cones.h"
 #include "sim/compiled_kernel.h"
 #include "sim/golden.h"
-#include "sim/golden_slots.h"
 
 namespace femu {
 
 // ---- persistent content-addressed artifact cache ---------------------------
 //
 // Every campaign over the same (circuit, testbench) recomputes the same
-// setup artifacts: the golden traces, the cone structures, the cone-affine
-// order and the optimized kernel. None of them depend on the fault list or
-// on any engine knob beyond the resolved artifact *shape* (eager cones vs
-// oracle, slot trace or not, optimized kernel or not) — the same invariance
-// contract the journal's CampaignFingerprint encodes. This cache persists
-// them on disk keyed by content hashes, so the serving-daemon / hardening-
-// loop pattern — near-identical campaigns in a tight loop — pays setup once.
+// setup artifacts: the golden trace and the optimized kernel. Neither
+// depends on the fault list or on any engine knob beyond the artifact
+// *shape* (optimized kernel or not) — the same invariance contract the
+// journal's CampaignFingerprint encodes. This cache persists them on disk
+// keyed by content hashes, so the hardening-loop pattern — near-identical
+// campaigns in a tight loop — pays setup once.
 //
 // Key derivation (vs CampaignFingerprint): the `circuit`, `testbench` and
 // `config` (rule tag) components are the exact journal hashes; the `faults`
 // and `model` components are deliberately DROPPED (no setup artifact depends
 // on them), and two cache-only components are added: an optimizer hash
 // (pass-pipeline version + preserve-set tag) and a shape hash. Engine knobs
-// (lanes, threads, schedule, width policy, arena) stay excluded, matching
-// the journal's outcome-invariance contract — with one nuance: knobs that
-// pick WHICH artifacts exist (cone policy resolution, cone_restricted,
-// optimize) fold into the shape hash, so each shape is its own entry and a
-// load either supplies everything construction needs or nothing.
+// (lanes, threads) stay excluded, matching the journal's outcome-invariance
+// contract — with one nuance: the knob that picks WHICH artifacts exist
+// (optimize) folds into the shape hash, so each shape is its own entry and
+// a load either supplies everything construction needs or nothing.
 //
 // On-disk format (FaultDictionary-style, host-endian, one file per key):
 //
 //   8-byte magic "FEMUART\0", then the payload:
 //     u32 format version
 //     the five key hashes (u64 each)
-//     tagged sections (u8 presence flag each, in fixed order):
-//       golden trace      — states then outputs, as length-prefixed BitVecs
-//       golden slot trace — num_slots, then per-cycle BitVecs
-//       ff affinity rank  — u32 per FF
-//       next-FF labels    — u32 per node
-//       eager FF cones    — dims + bits words + per-FF gate counts
-//       cone oracle       — dims + CSR head/adj + FF Q-node list
-//       optimized kernel  — dims + instruction stream + index tables +
-//                           OptStats
+//     golden trace        — states then outputs, as length-prefixed BitVecs
+//     u8 presence flag, then (when set) the optimized kernel — dims +
+//       instruction stream + index tables + OptStats
 //   u64 FNV-1a checksum over the payload
 //
 // Stores write `<file>.tmp` then atomically rename, so a crash can never
@@ -84,21 +74,9 @@ struct ArtifactCacheKey {
 [[nodiscard]] std::uint64_t optimizer_pipeline_hash(
     bool optimize, std::span<const NodeId> preserve = {});
 
-/// Hash of the artifact shape construction will materialize: which cone
-/// structure (eager vs on-demand oracle), whether cone-restricted evaluation
-/// needs the slot trace, and whether an optimized kernel is cached.
-/// `order_group_width` / `order_greedy_cap` are the eager greedy FF-order
-/// parameters (the one cached artifact that depends on engine knobs — the
-/// cone-affine order groups by lane width); pass 0/0 in on-demand mode,
-/// whose anchor order is knob-free. Folding them into the shape keeps a
-/// warm run's grouping — and therefore its work metrics — bit-identical to
-/// the cold run at the same knobs.
-[[nodiscard]] std::uint64_t artifact_shape_hash(bool on_demand_cones,
-                                                bool need_cones,
-                                                bool slot_trace,
-                                                bool opt_kernel,
-                                                std::uint64_t order_group_width,
-                                                std::uint64_t order_greedy_cap);
+/// Hash of the artifact shape construction will materialize: whether an
+/// optimized kernel is cached next to the golden trace.
+[[nodiscard]] std::uint64_t artifact_shape_hash(bool opt_kernel);
 
 enum class ArtifactCacheStatus : std::uint8_t {
   kHit,          ///< entry validated and adopted
@@ -111,19 +89,9 @@ enum class ArtifactCacheStatus : std::uint8_t {
 [[nodiscard]] const char* artifact_cache_status_name(
     ArtifactCacheStatus s) noexcept;
 
-/// Deserialized setup artifacts, ready for the engine to adopt. Sections a
-/// shape does not include stay absent (null/empty).
+/// Deserialized setup artifacts, ready for the engine to adopt.
 struct ArtifactBundle {
-  bool has_golden = false;
   GoldenTrace golden;
-  bool has_slot_trace = false;
-  GoldenSlotTrace slot_trace;
-  bool has_ff_rank = false;
-  std::vector<std::uint32_t> ff_affinity_rank;
-  bool has_labels = false;
-  std::vector<std::uint32_t> next_ff_labels;
-  std::unique_ptr<FanoutCones> eager_cones;  // null when absent
-  std::unique_ptr<ConeOracle> oracle;        // null when absent
   std::shared_ptr<const CompiledKernel> opt_kernel;  // null when absent
 };
 
@@ -143,15 +111,10 @@ struct ArtifactLoadResult {
                                                 const ArtifactCacheKey& key,
                                                 const Circuit& circuit);
 
-/// Non-owning view of the artifacts one construction produced; null
-/// pointers mark sections the shape does not include.
+/// Non-owning view of the artifacts one construction produced. `golden` is
+/// required; a null opt_kernel marks a shape without one.
 struct ArtifactStoreView {
   const GoldenTrace* golden = nullptr;
-  const GoldenSlotTrace* slot_trace = nullptr;
-  const std::vector<std::uint32_t>* ff_affinity_rank = nullptr;
-  const std::vector<std::uint32_t>* next_ff_labels = nullptr;
-  const FanoutCones* eager_cones = nullptr;
-  const ConeOracle* oracle = nullptr;
   const CompiledKernel* opt_kernel = nullptr;
 };
 

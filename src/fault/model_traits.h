@@ -10,35 +10,10 @@
 #include "fault/set_model.h"
 #include "fault/stuckat_model.h"
 #include "netlist/circuit.h"
-#include "netlist/fanout_cones.h"
 #include "sim/compiled_kernel.h"
 #include "sim/lane_word.h"
 
 namespace femu {
-
-/// The cone source behind a campaign: eager materialized matrices or the
-/// on-demand oracle (ConePolicy). Both derive bit-identical cones; the
-/// group runners never know which one is active.
-struct ConeBackend {
-  const FanoutCones* eager_ff = nullptr;
-  const GateCones* eager_gate = nullptr;
-  const ConeOracle* oracle = nullptr;
-
-  void union_ff(std::span<std::uint64_t> mask, std::size_t ff) const {
-    if (eager_ff != nullptr) {
-      eager_ff->union_into(mask, ff);
-    } else {
-      oracle->union_into_ff(mask, ff);
-    }
-  }
-  void union_gate(std::span<std::uint64_t> mask, NodeId gate) const {
-    if (eager_gate != nullptr) {
-      eager_gate->union_into(mask, eager_gate->site_index(gate));
-    } else {
-      oracle->union_into_gate(mask, gate);
-    }
-  }
-};
 
 /// Fault-model descriptor — the one place a fault model's mechanics live.
 ///
@@ -61,17 +36,14 @@ struct ConeBackend {
 ///                         faults, which can be re-excited later (their
 ///                         undetected lanes map to latent/silent by the
 ///                         final-state comparison instead)
-///   kSiteKeyed          — schedule keys, seed keys and affinity ranks live
-///                         in gate-site (node-id) space instead of
-///                         flip-flop space
+///   kSiteKeyed          — schedule keys live in gate-site (node-id) space
+///                         instead of flip-flop space
 ///   kLatchThinning      — lanes may carry a sub-full-width transient whose
 ///                         latching is thinned per destination FF
 ///                         (pulse-width SET)
 ///   cycle/schedule_site — the (cycle, site) schedule key of a fault
 ///   inject              — state-bit entry (no-op for overlay models)
 ///   overlay_node/entry  — overlay destination and op-tagged lane masks
-///   union_cone/seed_key — the structural divergence bound and the
-///                         sub-program cache key bits
 ///   collect_preserve    — the model's injectable-node set: every node id a
 ///                         campaign over these faults may target with an
 ///                         overlay, appended to the kernel optimizer's
@@ -103,14 +75,6 @@ enum class OverlayOp : std::uint8_t {
   return "?";
 }
 
-namespace traits_detail {
-
-inline void set_key_bit(std::span<std::uint64_t> key, std::uint32_t bit) {
-  key[bit >> 6] |= std::uint64_t{1} << (bit & 63);
-}
-
-}  // namespace traits_detail
-
 template <>
 struct FaultModelTraits<FaultModel::kSeu> {
   using FaultT = Fault;
@@ -137,13 +101,6 @@ struct FaultModelTraits<FaultModel::kSeu> {
   /// State-bit injection only — no gate slot needs materializing.
   static void collect_preserve(std::span<const FaultT>,
                                std::vector<NodeId>&) {}
-  static void union_cone(const ConeBackend& cones,
-                         std::span<std::uint64_t> mask, const FaultT& f) {
-    cones.union_ff(mask, f.ff_index);
-  }
-  static void seed_key(std::span<std::uint64_t> key, const FaultT& f) {
-    traits_detail::set_key_bit(key, f.ff_index);
-  }
   static void validate(const Circuit& circuit, std::size_t num_cycles,
                        const FaultT& f) {
     FEMU_CHECK(f.cycle < num_cycles, "fault cycle ", f.cycle,
@@ -167,8 +124,7 @@ struct FaultModelTraits<FaultModel::kMbu> {
 
   static std::uint32_t cycle(const FaultT& f) noexcept { return f.cycle; }
   /// An MBU spans several FFs; its first (lowest-index) FF stands in for
-  /// the fault in the affinity key. Approximate — the schedule is a
-  /// performance knob, never a semantic one.
+  /// the fault in the schedule key (the schedule never affects outcomes).
   static std::uint32_t schedule_site(const FaultT& f) noexcept {
     return f.ff_indices.front();
   }
@@ -184,17 +140,6 @@ struct FaultModelTraits<FaultModel::kMbu> {
   /// State-bit injection only — no gate slot needs materializing.
   static void collect_preserve(std::span<const FaultT>,
                                std::vector<NodeId>&) {}
-  static void union_cone(const ConeBackend& cones,
-                         std::span<std::uint64_t> mask, const FaultT& f) {
-    for (const std::uint32_t ff : f.ff_indices) {
-      cones.union_ff(mask, ff);
-    }
-  }
-  static void seed_key(std::span<std::uint64_t> key, const FaultT& f) {
-    for (const std::uint32_t ff : f.ff_indices) {
-      traits_detail::set_key_bit(key, ff);
-    }
-  }
   static void validate(const Circuit& circuit, std::size_t num_cycles,
                        const FaultT& f) {
     FEMU_CHECK(f.cycle < num_cycles, "MBU cycle ", f.cycle,
@@ -238,13 +183,6 @@ struct FaultModelTraits<FaultModel::kSet> {
   static void collect_preserve(std::span<const FaultT> faults,
                                std::vector<NodeId>& preserve) {
     for (const FaultT& f : faults) preserve.push_back(f.node);
-  }
-  static void union_cone(const ConeBackend& cones,
-                         std::span<std::uint64_t> mask, const FaultT& f) {
-    cones.union_gate(mask, f.node);
-  }
-  static void seed_key(std::span<std::uint64_t> key, const FaultT& f) {
-    traits_detail::set_key_bit(key, f.node);
   }
   /// Pulse-width thinning: lanes at sub-full width draw a per-destination-FF
   /// setup-window-overlap decision (set_pulse_latches).
@@ -300,13 +238,6 @@ struct FaultModelTraits<FaultModel::kStuckAt> {
                                std::vector<NodeId>& preserve) {
     for (const FaultT& f : faults) preserve.push_back(f.node);
   }
-  static void union_cone(const ConeBackend& cones,
-                         std::span<std::uint64_t> mask, const FaultT& f) {
-    cones.union_gate(mask, f.node);
-  }
-  static void seed_key(std::span<std::uint64_t> key, const FaultT& f) {
-    traits_detail::set_key_bit(key, f.node);
-  }
   static void validate(const Circuit& circuit, std::size_t /*num_cycles*/,
                        const FaultT& f) {
     FEMU_CHECK(f.node < circuit.node_count() &&
@@ -342,12 +273,10 @@ struct FaultModelTraits<FaultModel::kStuckAt> {
 }
 
 /// One lane group of a model's faults, normalized for the generic group
-/// runners: lane k carries faults[k]. Answers, per lane, when the fault
-/// enters (cycle), how it enters (inject / overlay_entry), which structural
-/// cone bounds its divergence (union_cone) and which bits identify its
-/// injection sites in the sub-program cache key (seed_key) — all by
-/// delegation to the model's FaultModelTraits, so the group runners are
-/// written once against this view and specialize per model purely through
+/// runner: lane k carries faults[k]. Answers, per lane, when the fault
+/// enters (cycle) and how it enters (inject / overlay_entry) — by
+/// delegation to the model's FaultModelTraits, so the group runner is
+/// written once against this view and specializes per model purely through
 /// `if constexpr` on the descriptor flags (SEU/MBU codegen carries no
 /// overlay or thinning code at all).
 template <typename Traits>
@@ -355,12 +284,10 @@ struct ModelView {
   using FaultT = typename Traits::FaultT;
 
   std::span<const FaultT> faults;
-  ConeBackend cones;
 
   static constexpr bool kHasOverlay = Traits::kUsesOverlay;
   static constexpr bool kOverlayEveryCycle = Traits::kOverlayEveryCycle;
   static constexpr bool kRetireOnConvergence = Traits::kRetireOnConvergence;
-  static constexpr bool kKeyOverNodes = Traits::kSiteKeyed;
   static constexpr bool kLatchThinning = Traits::kLatchThinning;
 
   [[nodiscard]] std::size_t size() const noexcept { return faults.size(); }
@@ -379,15 +306,6 @@ struct ModelView {
       std::size_t i, std::uint32_t dest) const {
     return Traits::template overlay_entry<Word>(faults[i], dest,
                                                 static_cast<unsigned>(i));
-  }
-  void union_cone(std::span<std::uint64_t> mask, std::size_t i) const {
-    Traits::union_cone(cones, mask, faults[i]);
-  }
-  void union_ff_cone(std::span<std::uint64_t> mask, std::size_t ff) const {
-    cones.union_ff(mask, ff);
-  }
-  void seed_key(std::span<std::uint64_t> key, std::size_t i) const {
-    Traits::seed_key(key, faults[i]);
   }
   [[nodiscard]] bool lane_thins(std::size_t i) const {
     return Traits::lane_thins(faults[i]);

@@ -12,12 +12,9 @@
 #include "fault/set_model.h"
 #include "fault/stuckat_model.h"
 #include "netlist/circuit.h"
-#include "netlist/fanout_cones.h"
 #include "obs/telemetry.h"
 #include "sim/compiled_kernel.h"
 #include "sim/golden.h"
-#include "sim/golden_slots.h"
-#include "sim/golden_words.h"
 #include "stim/testbench.h"
 
 namespace femu {
@@ -35,139 +32,29 @@ enum class LaneWidth : std::uint32_t {
   return static_cast<std::size_t>(w);
 }
 
-/// How the scheduler chooses each lane group's width.
-///
-///   kFixed    — every group runs at CampaignConfig::lanes (consecutive
-///               spans of the scheduled list, exactly the historical
-///               grouping) — the default; every pre-existing configuration
-///               is bit-identical, metrics included.
-///   kAdaptive — compiled backend only (silently treated as kFixed when
-///               interpreted). On sparse campaigns groups never cross a
-///               cone-affinity block boundary (under kConeAffine a sampled
-///               campaign's sparse blocks otherwise pack into full-width
-///               groups spanning many blocks, multiplying the cone union
-///               the group evaluates); dense campaigns — average block fill
-///               >= 3/4 of the lane width — keep the fixed packing, whose
-///               groups already align with the blocks. Every segment's tail
-///               drops to the 256/64-lane tier when too few faults remain
-///               to pay for a wide word (see DESIGN.md for the decision
-///               rule). Dead
-///               lanes cost real memory bandwidth — a 512-lane word streams
-///               8x the bytes of a 64-lane word regardless of how many
-///               lanes carry faults. Classifications are identical under
-///               either policy (grouping never affects per-lane grading);
-///               what changes is faults/s, eval_bytes_per_instr and
-///               last_run_lane_occupancy().
-enum class WidthPolicy : std::uint8_t {
-  kFixed,
-  kAdaptive,
-};
-
-[[nodiscard]] constexpr const char* width_policy_name(WidthPolicy p) noexcept {
-  return p == WidthPolicy::kFixed ? "fixed" : "adaptive";
-}
-
-/// How run() orders faults into lane groups. Outcomes always align with the
-/// caller's fault order regardless of schedule — the scheduler permutes
-/// internally and scatters results back through the inverse permutation —
-/// so the schedule is purely a performance knob.
-enum class CampaignSchedule : std::uint8_t {
-  /// Groups are consecutive spans of the caller's list (the PR 1 behaviour).
-  kAsGiven,
-  /// Sort by (cycle, ff): groups span minimal injection-cycle ranges, so
-  /// groups start late and fast-forward far.
-  kCycleMajor,
-  /// Cycle-major, but within a cycle FFs follow the cone-affinity order
-  /// (see cone_affine_ff_order): each group's fanout-cone union — the work
-  /// the cone-restricted engine evaluates per cycle — stays small. Degrades
-  /// to kCycleMajor when cones are unavailable (interpreted backend).
-  kConeAffine,
-};
-
-[[nodiscard]] constexpr const char* campaign_schedule_name(
-    CampaignSchedule s) noexcept {
-  switch (s) {
-    case CampaignSchedule::kAsGiven: return "as-given";
-    case CampaignSchedule::kCycleMajor: return "cycle-major";
-    case CampaignSchedule::kConeAffine: return "cone-affine";
-  }
-  return "?";
-}
-
-/// How the engine obtains fanout cones (a memory/latency trade-off; never
-/// affects outcomes — eager and on-demand derive bit-identical cones).
-///
-///   kEager    — materialize the full per-FF (and, for SET, per-gate)
-///               cone matrices up front: O(items x nodes) bits. Fast
-///               per-group unions; prohibitive above a few 10k gates.
-///   kOnDemand — keep only the reachability CSR (ConeOracle) and derive
-///               each scheduled block's cone union by one DFS when a
-///               worker first claims it; scheduling uses the near-linear
-///               anchor-rank orders. O(edges) memory, near-linear
-///               campaign construction — the only mode that scales to
-///               100k-gate circuits.
-///   kAuto     — eager below kOnDemandNodeThreshold circuit nodes,
-///               on-demand at or above it.
-enum class ConePolicy : std::uint8_t {
-  kAuto,
-  kEager,
-  kOnDemand,
-};
-
-[[nodiscard]] constexpr const char* cone_policy_name(ConePolicy p) noexcept {
-  switch (p) {
-    case ConePolicy::kAuto: return "auto";
-    case ConePolicy::kEager: return "eager";
-    case ConePolicy::kOnDemand: return "on-demand";
-  }
-  return "?";
-}
-
 /// Campaign engine configuration.
 ///
-/// The default — compiled kernel, 64 lanes, cone-restricted differential
-/// evaluation, cone-affine scheduling, one worker per hardware thread — is
-/// the fastest portable setting. `cone_restricted = false` selects the PR 1
-/// full-program evaluation path (the measured baseline); the interpreted
-/// backend (64-lane, full-eval only) is the original engine, kept selectable
-/// so benches and cross-validation tests can measure and check the compiled
-/// paths against it.
+/// The default — compiled kernel, 512 lanes, one worker per hardware
+/// thread, optimized kernel — is the fastest portable setting. The
+/// interpreted backend is the original engine, kept selectable as the
+/// cross-validation oracle the compiled path is checked against; it always
+/// runs 64 lanes and ignores `lanes`.
 struct CampaignConfig {
   SimBackend backend = SimBackend::kCompiled;
-  LaneWidth lanes = LaneWidth::k64;
+  /// Lane width of every compiled lane group (ignored when interpreted).
+  LaneWidth lanes = LaneWidth::k512;
   /// Worker threads for group sharding; 0 = std::thread::hardware_concurrency().
   unsigned num_threads = 0;
-  /// Evaluate only the per-group union of injected-FF fanout cones against
-  /// the golden baseline (compiled backend only; ignored when interpreted).
-  bool cone_restricted = true;
-  CampaignSchedule schedule = CampaignSchedule::kConeAffine;
-  /// Eager cone matrices vs on-demand CSR derivation (see ConePolicy).
-  ConePolicy cone_policy = ConePolicy::kAuto;
-  /// FF count above which the quadratic greedy cone-affine FF ordering is
-  /// skipped in favour of the near-linear anchor-rank ordering, so a large
-  /// circuit can never stall the campaign constructor. Only consulted in
-  /// eager mode (on-demand always uses anchor ranks); 0 = never greedy.
-  std::size_t greedy_order_cap = 2048;
-  /// Per-group lane-width decision (see WidthPolicy). kFixed keeps every
-  /// configuration bit-identical to the historical grouping.
-  WidthPolicy width_policy = WidthPolicy::kFixed;
-  /// Order cone sub-program instructions by (logic level, node id) so each
-  /// level occupies one contiguous arena block and operand reads hit the
-  /// block written just before (see CompiledKernel::build_subprogram).
-  /// Results are bit-identical either way — this is a pure locality knob,
-  /// exposed so benches and the reorder property test can A/B it.
-  bool levelized_arena = true;
   /// Run campaigns on an optimizer-processed kernel (sim/kernel_opt.h):
   /// inverter/buffer absorption into per-operand complement flags, constant
   /// folding and dead-logic elimination, under the model's injection-site
   /// preserve set (FaultModelTraits::collect_preserve) so overlay sites
   /// stay materialized. Compiled backend only (the interpreted backend is
   /// the unoptimized cross-validation oracle); classifications are
-  /// bit-identical on vs off for every model, lane width, schedule, cone
-  /// policy and thread count — off is the A/B baseline benches measure the
-  /// instruction reduction against. Cones, golden traces and images are
-  /// always derived from the raw circuit/kernel; only the executed
-  /// instruction stream changes.
+  /// bit-identical on vs off for every model, lane width and thread count —
+  /// off is the A/B baseline benches measure the instruction reduction
+  /// against. The golden trace is always derived from the raw kernel; only
+  /// the executed instruction stream changes.
   bool optimize = true;
   /// Telemetry sink (not owned; must outlive the engine). Null — the
   /// default — is the near-zero-cost fast path: the engine takes no
@@ -181,33 +68,17 @@ struct CampaignConfig {
   /// Persistent content-addressed artifact cache directory
   /// (fault/artifact_cache.h). Empty — the default — disables caching.
   /// Compiled backend only. When set, construction first tries to adopt the
-  /// cached setup artifacts (golden traces, cone structures, cone-affine
-  /// order, optimized FF-model kernel) keyed by circuit/testbench/config-
-  /// rule content hashes plus optimizer and shape hashes; any invalid entry
-  /// degrades totally-and-warned to a rebuild, and every miss stores the
-  /// rebuilt artifacts via tmp + atomic rename. Outcome-neutral by the same
-  /// contract as every other knob: classifications and work metrics are
+  /// cached setup artifacts (golden trace, optimized FF-model kernel) keyed
+  /// by circuit/testbench/config-rule content hashes plus optimizer and
+  /// shape hashes; any invalid entry degrades totally-and-warned to a
+  /// rebuild, and every miss stores the rebuilt artifacts via tmp + atomic
+  /// rename. Outcome-neutral: classifications and work metrics are
   /// bit-identical cold vs warm.
-  std::string cache_dir;
-
-  /// kAuto switches to on-demand cones at this circuit size.
-  static constexpr std::size_t kOnDemandNodeThreshold = 20000;
-
-  /// kAdaptive tail-tier thresholds: a segment tail of more than
-  /// kTail512Min faults keeps the 512-lane word (one group beats any
-  /// decomposition once more than 3/4 of the word is live); a tail of more
-  /// than kTail256Min takes a 256-lane word; anything smaller runs in
-  /// 64-lane chunks. Derived from the measured per-instruction cost model
-  /// cost(width) ~ 1 + limbs(width) in 64-bit-limb units (the constant is
-  /// dispatch/loop overhead): 64/256/512-lane words cost ~2/5/9 units, and
-  /// these cut-offs pick the cheapest exact cover of a tail.
-  static constexpr std::size_t kTail512Min = 384;
-  static constexpr std::size_t kTail256Min = 128;
+  std::string cache_dir{};
 };
 
-/// Bit-parallel fault simulation with cone-restricted differential
-/// evaluation and multi-threaded campaign sharding — the unified campaign
-/// engine for every fault model (FaultModel):
+/// Bit-parallel fault simulation with multi-threaded campaign sharding —
+/// the unified campaign engine for every fault model (FaultModel):
 ///
 ///   run()         — SEU (flip-flop bit-flips, the paper's model)
 ///   run_mbu()     — MBU (multi-bit upsets: several FFs flipped together)
@@ -225,55 +96,47 @@ struct CampaignConfig {
 /// scheduling and classification semantics. Everything model-specific —
 /// fault type, injection mechanism (state-bit XOR before eval vs op-tagged
 /// instruction-overlay update during eval), overlay emission cadence,
-/// divergence cone space, schedule key and classification mapping — lives
-/// in the model's FaultModelTraits descriptor (fault/model_traits.h); the
-/// engine core is instantiated once per model from that descriptor, so a
-/// new fault model is one descriptor specialization plus a result-shaping
-/// entry point, never a new engine path.
+/// schedule key and classification mapping — lives in the model's
+/// FaultModelTraits descriptor (fault/model_traits.h); the engine core is
+/// instantiated once per model from that descriptor, so a new fault model
+/// is one descriptor specialization plus a result-shaping entry point,
+/// never a new engine path.
 ///
-/// Faults are processed in groups of lane-width size; lane k of every signal
-/// word carries faulty machine k. A lane whose injection cycle has not
-/// arrived yet simply tracks the golden machine (identical state + identical
-/// stimuli), so a group spanning several injection cycles needs no special
-/// casing: the group starts from the golden state at its earliest injection
-/// cycle and each lane is XOR-flipped when its cycle comes.
-///
-/// Differential evaluation: a faulty lane can differ from golden only inside
-/// the structural fanout cone of its injected flip-flop (closed over
-/// sequential feedback — see FanoutCones). The cone-restricted path
-/// therefore evaluates just the sub-program covered by the group's cone
-/// union, loading cone-boundary fanin slots with broadcast golden values
-/// from a GoldenSlotTrace, and re-derives a smaller sub-program as lanes
-/// classify (narrowing: whenever any lane classifies, and periodically). The
-/// cone-affine schedule keeps those unions small by grouping faults
-/// cycle-major and cone-clustered.
+/// Faults are sorted cycle-major — by (injection cycle, site) — and
+/// processed in consecutive groups of lane-width size; lane k of every
+/// signal word carries faulty machine k. A lane whose injection cycle has
+/// not arrived yet simply tracks the golden machine (identical state +
+/// identical stimuli), so a group spanning several injection cycles needs
+/// no special casing: the group starts from the golden state at its
+/// earliest injection cycle and each lane is XOR-flipped when its cycle
+/// comes. Every cycle evaluates the whole program; golden stimuli, outputs
+/// and states are broadcast from the bit-packed GoldenTrace as they are
+/// read, so no per-cycle lane-word image is ever materialized.
 ///
 /// Early retirement: a lane is done at its first output mismatch (failure) or
 /// state re-convergence (silent); when every injected lane of a group is
 /// done, the group fast-forwards to the next injection cycle by reloading the
-/// golden state image (the next injection cycle comes from the group's
-/// pre-sorted schedule — O(1) per fast-forward).
+/// golden state (the next injection cycle comes from the group's pre-sorted
+/// schedule — O(1) per fast-forward).
 ///
-/// Groups are independent — they share only the read-only kernel, cones,
-/// golden traces and pre-broadcast golden word images — so the campaign
-/// shards them across a pool of workers pulling group indices from an atomic
-/// counter. Every group writes its own outcome slice and the scheduler's
-/// permutation is inverted before returning, so results align with the
-/// caller's fault order and are bit-identical for any thread count, backend,
-/// lane width and schedule.
+/// Groups are independent — they share only the read-only kernel and the
+/// golden trace — so the campaign shards them across a pool of workers
+/// pulling group indices from an atomic counter. Every group writes its own
+/// outcome slice and the schedule permutation is inverted before returning,
+/// so results align with the caller's fault order and are bit-identical for
+/// any thread count, backend and lane width.
 class ParallelFaultSimulator {
  public:
   ParallelFaultSimulator(const Circuit& circuit, const Testbench& testbench,
                          CampaignConfig config = {});
 
   /// Grades every fault; outcomes align with input order regardless of the
-  /// configured schedule. Faults may be in any order.
+  /// internal schedule. Faults may be in any order.
   [[nodiscard]] CampaignResult run(std::span<const Fault> faults);
 
-  /// Grades an MBU campaign through the same sharded, scheduled,
-  /// cone-restricted engine stack (an MBU lane flips several state bits and
-  /// its divergence cone is the union of the flipped FFs' cones). Any
-  /// backend and lane width.
+  /// Grades an MBU campaign through the same sharded, scheduled engine
+  /// stack (an MBU lane flips several state bits at once). Any backend and
+  /// lane width.
   [[nodiscard]] MbuCampaignResult run_mbu(std::span<const MbuFault> faults);
 
   /// Grades a SET campaign: each lane's gate output is XOR-inverted inline
@@ -282,7 +145,7 @@ class ParallelFaultSimulator {
   /// Sub-full-width pulses (SetFault::pulse_q) additionally thin the latch
   /// per destination flip-flop by the deterministic setup-window draw.
   /// Compiled backend only (the overlay is an instruction-stream mechanism);
-  /// all lane widths, all schedules, cone-restricted or full.
+  /// all lane widths.
   [[nodiscard]] SetCampaignResult run_set(std::span<const SetFault> faults);
 
   /// Grades a stuck-at campaign with test-pattern semantics: each lane's
@@ -332,8 +195,7 @@ class ParallelFaultSimulator {
   /// Enables failure-signature capture: every failure lane's first
   /// deviating output vector is XORed against golden at the detect cycle
   /// and hashed (BitVec::hash of the full-width syndrome — identical to
-  /// the serial FaultDictionary syndrome, including on the cone-restricted
-  /// path, where non-cone outputs are provably golden). Off by default; the
+  /// the serial FaultDictionary syndrome). Off by default; the
   /// per-failure BitVec materialization costs a few percent on
   /// failure-heavy campaigns.
   void set_capture_signatures(bool on) { capture_signatures_ = on; }
@@ -349,25 +211,6 @@ class ParallelFaultSimulator {
   [[nodiscard]] std::span<const std::uint64_t> last_run_signatures()
       const noexcept {
     return last_run_signatures_;
-  }
-
-  /// Per-FF fanout cones. Built when the engine runs in eager cone mode and
-  /// the cone-restricted engine is active (compiled backend) or the
-  /// cone-affine schedule needs them as a grouping heuristic (any backend);
-  /// null otherwise — in particular always null in on-demand mode, where
-  /// cone_oracle() serves instead.
-  [[nodiscard]] const FanoutCones* cones() const noexcept {
-    return cones_.get();
-  }
-
-  /// On-demand cone oracle; null in eager mode.
-  [[nodiscard]] const ConeOracle* cone_oracle() const noexcept {
-    return oracle_.get();
-  }
-
-  /// True when this engine derives cones on demand (resolved kAuto).
-  [[nodiscard]] bool on_demand_cones() const noexcept {
-    return on_demand_cones_;
   }
 
   /// Structured scalar telemetry: the engine's construction-phase timings
@@ -390,27 +233,20 @@ class ParallelFaultSimulator {
 
   /// Circuit-evaluation cycles spent in the last run, summed over all lane
   /// groups (engine efficiency metric used by the microbenches). One eval of
-  /// a 256-lane group counts as one cycle, like one eval of a 64-lane group;
-  /// a cone-restricted eval also counts as one cycle even though it executes
-  /// fewer instructions (see last_run_eval_instrs for the finer metric).
+  /// a 512-lane group counts as one cycle, like one eval of a 64-lane group
+  /// (see last_run_eval_instrs for the finer metric).
   [[nodiscard]] std::uint64_t last_run_eval_cycles() const noexcept {
     return telem_.eval_cycles;
   }
 
   /// Kernel instructions executed in the last run, summed over all lane
-  /// groups — the metric that shows the cone restriction's work reduction.
+  /// groups (eval cycles x executed program size).
   [[nodiscard]] std::uint64_t last_run_eval_instrs() const noexcept {
     return telem_.eval_instrs;
   }
 
-  /// Sub-program re-derivations (narrowing rebuilds) in the last run.
-  [[nodiscard]] std::uint64_t last_run_narrowings() const noexcept {
-    return telem_.narrowings;
-  }
-
   /// Slot-storage bytes the eval loops streamed over in the last run: every
-  /// eval adds its working set (full slot array for full-program evals, the
-  /// dense cone arena for cone evals) times the lane word size. Divided by
+  /// eval adds the full slot array times the lane word size. Divided by
   /// last_run_eval_instrs() this is the engine's bytes-per-instruction — the
   /// memory-wall metric the bench matrix reports per circuit and lane width.
   [[nodiscard]] std::uint64_t last_run_eval_slot_bytes() const noexcept {
@@ -424,11 +260,7 @@ class ParallelFaultSimulator {
   }
 
   /// How many lane groups the last run executed at each width tier (see
-  /// obs::GroupWidthCounts — the type moved into the obs layer; this alias
-  /// keeps existing `ParallelFaultSimulator::GroupWidthCounts` callers
-  /// compiling). Under kFixed only the configured tier is non-zero; under
-  /// kAdaptive the tail tiers show how the scheduler decomposed partial
-  /// blocks.
+  /// obs::GroupWidthCounts). Only the run's lane width is non-zero.
   using GroupWidthCounts = obs::GroupWidthCounts;
 
   [[nodiscard]] const GroupWidthCounts& last_run_group_widths() const noexcept {
@@ -438,129 +270,53 @@ class ParallelFaultSimulator {
   /// Fraction of lane slots that carried a fault in the last run: injected
   /// lanes / (sum of group widths). 1.0 means every word was full; the
   /// shortfall is pure dead-lane bandwidth (a 512-lane group with 60 live
-  /// faults still streams all 8 limbs of every word). kAdaptive exists to
-  /// push this toward 1.0 on tail-heavy and sparse-sampled campaigns.
+  /// faults still streams all 8 limbs of every word).
   [[nodiscard]] double last_run_lane_occupancy() const noexcept {
     return telem_.lane_occupancy;
   }
 
  private:
   /// Per-worker scratch reused across every group the worker runs: the
-  /// injection-schedule index sort, the cone-union masks, the overlay lists
-  /// and the derived sub-programs all keep their heap storage between
-  /// groups. The initial sub-program is additionally cached keyed on the
-  /// group's injection-site set (FF bitset for SEU/MBU, node bitset for
-  /// SET) — under the block-major cone-affine schedule consecutive groups
-  /// carry the same site block at successive cycles, so the derivation runs
-  /// once per block, not once per group.
+  /// injection-schedule index sort and the overlay list keep their heap
+  /// storage between groups.
   struct WorkerScratch {
     std::vector<std::uint32_t> order;
-    std::vector<std::uint64_t> group_key;     // site bitset of current group
-    std::vector<std::uint64_t> cached_key;    // site set initial_sp was built for
-    std::vector<std::uint64_t> initial_mask;  // cone union of cached_key
-    std::vector<std::uint64_t> cone_mask;     // working mask (narrowed)
-    std::vector<std::uint64_t> narrow_mask;   // checkpoint candidate mask
-    // Divergence fingerprint at the last narrowing checkpoint: FF bits
-    // first, then one tail bit per lane still waiting to inject (a waiting
-    // lane's divergence bound is its seed cone, which no FF bit can
-    // express for a SET site).
-    std::vector<std::uint64_t> diverged_ffs;
-    std::vector<std::uint64_t> diverged_now;
     // Injection overlays (one vector per lane word type; only the active
     // width's vector is ever touched): per injection cycle for transient
     // models, persistent across cycles for every-cycle models (stuck-at).
     std::vector<CompiledKernel::OverlayEntry<std::uint64_t>> overlay64;
     std::vector<CompiledKernel::OverlayEntry<Word256>> overlay256;
     std::vector<CompiledKernel::OverlayEntry<Word512>> overlay512;
-    // Per-cone-FF latching suppression words for pulse-width thinning
-    // (parallel to the sub-program's dff_indices; see
-    // LaneEngine::step_cone_mismatch_thinned).
-    std::vector<std::uint64_t> thin64;
-    std::vector<Word256> thin256;
-    std::vector<Word512> thin512;
-    CompiledKernel::ConeSubProgram initial_sp;
-    // Two narrow buffers, ping-ponged: a re-derivation filters the current
-    // sub-program (see build_subprogram's narrow_from), which must not
-    // alias the buffer being written.
-    CompiledKernel::ConeSubProgram narrow_sp[2];
-    bool initial_valid = false;
     std::uint64_t eval_cycles = 0;
     std::uint64_t eval_instrs = 0;
     std::uint64_t eval_slot_bytes = 0;
-    std::uint64_t narrowings = 0;
     /// This worker's telemetry sink, or null when telemetry is off — the
-    /// group runners take timestamps only when this is set.
+    /// group runner takes timestamps only when this is set.
     obs::WorkerTelemetry* telemetry = nullptr;
   };
 
-  /// One scheduled lane group: faults [begin, begin + count) of the
-  /// scheduled list, run at `width` (count <= lane_count(width)). The plan —
-  /// the full partition of a run's scheduled faults into GroupSpecs — is
-  /// what the width policy produces; kFixed yields the historical
-  /// consecutive full-width spans.
-  struct GroupSpec {
-    std::uint32_t begin = 0;
-    std::uint32_t count = 0;
-    LaneWidth width = LaneWidth::k64;
-  };
+  /// Grades one lane group on `engine` (lane k carries the view's fault k),
+  /// writing its outcomes and, when `sigs` is non-empty, failure signatures.
+  template <typename Engine, typename View>
+  void run_group(Engine& engine, const View& view,
+                 std::span<FaultOutcome> outcomes,
+                 std::span<std::uint64_t> sigs, WorkerScratch& scratch) const;
 
-  template <typename Engine, typename Word, typename View>
-  void run_group_full(Engine& engine, const GoldenWordImage<Word>& image,
-                      const View& view, std::span<FaultOutcome> outcomes,
-                      std::span<std::uint64_t> sigs,
-                      WorkerScratch& scratch) const;
-
-  template <typename Word, typename View>
-  void run_group_cone(LaneEngine<Word>& engine,
-                      const GoldenWordImage<Word>& image, const View& view,
-                      std::span<FaultOutcome> outcomes,
-                      std::span<std::uint64_t> sigs,
-                      WorkerScratch& scratch) const;
-
-  template <typename FaultT, typename MakeEngine, typename RunGroup>
-  void run_sharded(const MakeEngine& make_engine, const RunGroup& run_group,
-                   std::span<const GroupSpec> plan,
-                   std::span<const FaultT> faults,
-                   std::span<FaultOutcome> outcomes, unsigned num_workers);
-
-  /// Partitions the scheduled fault list into lane groups according to
-  /// config_.width_policy (see WidthPolicy). Also records the occupancy and
-  /// per-tier group-count metrics for this run.
-  template <typename Traits>
-  [[nodiscard]] std::vector<GroupSpec> group_plan(
-      std::span<const typename Traits::FaultT> faults);
-
-  /// Builds the pre-broadcast golden word image for `width` if this engine
-  /// has not built it yet (the constructor builds the configured width; an
-  /// adaptive plan's tail tiers are filled in lazily, before workers spawn).
-  void ensure_image(LaneWidth width);
+  /// Shards the `num_groups` lane groups of a run across `num_workers`
+  /// workers, each owning the engine `make_engine()` returns;
+  /// `run_one(engine, g, scratch)` grades group g.
+  template <typename MakeEngine, typename RunOne>
+  void run_sharded(const MakeEngine& make_engine, const RunOne& run_one,
+                   std::size_t num_groups, unsigned num_workers);
 
   /// The generic campaign driver every public entry point wraps: validates
-  /// the faults through the model descriptor, applies the schedule
-  /// permutation, dispatches on backend x lane width, shards the groups
-  /// (running them through ModelView<Traits>) and scatters the outcomes
-  /// back to caller order.
+  /// the faults through the model descriptor, sorts them cycle-major,
+  /// dispatches on backend x lane width, shards the groups (running them
+  /// through ModelView<Traits>) and scatters the outcomes back to caller
+  /// order.
   template <typename Traits>
   void run_model(std::span<const typename Traits::FaultT> faults,
                  std::span<FaultOutcome> outcomes);
-
-  /// Sorts the injection schedule indices for one group into scratch.order.
-  template <typename View>
-  void sort_group_order(const View& view, WorkerScratch& scratch) const;
-
-  /// Schedule permutation: perm[i] is the caller index of the i-th fault in
-  /// engine order (identity for kAsGiven). One generic keyed sort; the
-  /// per-fault (cycle, affinity-rank) key comes from the model descriptor
-  /// (schedule_site in FF or gate-site space, kSiteKeyed).
-  template <typename Traits>
-  [[nodiscard]] std::vector<std::uint32_t> schedule_permutation(
-      std::span<const typename Traits::FaultT> faults) const;
-
-  /// Builds the per-gate cones and the site affinity ranks on the first
-  /// site-keyed campaign (SET, stuck-at) that needs them (cone-restricted
-  /// evaluation or cone-affine scheduling); FF-keyed campaigns never pay
-  /// for them.
-  void ensure_site_structures();
 
   /// Resolves the kernel the next run executes: the raw kernel when the
   /// optimizer is off (or the backend interpreted), otherwise a cached
@@ -576,17 +332,16 @@ class ParallelFaultSimulator {
   const Circuit& circuit_;
   const Testbench& testbench_;
   CampaignConfig config_;
-  bool on_demand_cones_ = false;  // resolved cone policy
-  std::size_t words_per_cone_ = 0;
+  /// Lane width groups actually run at: config_.lanes, or 64 when
+  /// interpreted.
+  LaneWidth lanes_ = LaneWidth::k64;
   GoldenTrace golden_;
   std::shared_ptr<const CompiledKernel> kernel_;  // null when interpreted
   /// Optimized kernel clones (sim/kernel_opt.h), built lazily per preserve
   /// shape and cached across runs: one for FF-keyed campaigns (empty
   /// preserve set — maximal optimization) and one for the latest site-keyed
   /// preserve set (reused while subsequent runs' sites stay a subset).
-  /// kernel_ itself always stays the raw kernel: the golden slot trace and
-  /// the cone structures are derived from it, and boundary loads need every
-  /// slot's golden value.
+  /// kernel_ itself always stays the raw kernel the golden trace came from.
   std::shared_ptr<const CompiledKernel> opt_kernel_ff_;
   std::shared_ptr<const CompiledKernel> opt_kernel_site_;
   std::vector<NodeId> site_preserve_;  // sorted sites opt_kernel_site_ keeps
@@ -594,19 +349,6 @@ class ParallelFaultSimulator {
   /// top of run_model; campaign runs are serial per simulator object, and
   /// worker scratch never outlives a run, so per-run selection is safe).
   std::shared_ptr<const CompiledKernel> run_kernel_;
-  std::unique_ptr<FanoutCones> cones_;            // eager mode only
-  std::unique_ptr<ConeOracle> oracle_;            // on-demand mode only
-  std::unique_ptr<GateCones> gate_cones_;         // eager ensure_site_structures
-  GoldenSlotTrace slot_trace_;                    // empty when full-eval
-  std::vector<std::uint32_t> next_ff_labels_;     // on-demand anchor labels
-  std::vector<std::uint32_t> ff_affinity_rank_;   // rank of ff in cone order
-  std::vector<std::uint32_t> site_affinity_rank_;  // node id -> site rank
-  GoldenWordImage<std::uint64_t> image64_;
-  GoldenWordImage<Word256> image256_;
-  GoldenWordImage<Word512> image512_;
-  bool image64_ready_ = false;
-  bool image256_ready_ = false;
-  bool image512_ready_ = false;
   RetireCallback retire_cb_;
   bool capture_signatures_ = false;
   std::vector<std::uint64_t> last_run_signatures_;

@@ -55,8 +55,8 @@ struct CircuitDiff {
                                         const Circuit& new_circuit);
 
 /// Influence bitset of an edit: node ids whose forward fanout cone (over
-/// combinational fanin→node edges plus the D-driver→flip-flop back edge —
-/// the same closed edge set ConeOracle walks) intersects the forward
+/// combinational fanin→node edges plus the D-driver→flip-flop back edge,
+/// closed across clock edges) intersects the forward
 /// closure of `seeds`, or contains a node in `observe_seeds`.
 ///
 /// Equivalently: R = {x : fwd(x) ∩ (fwd(seeds) ∪ observe_seeds) ≠ ∅},

@@ -41,15 +41,6 @@ void WorkerTelemetry::group_slice(std::uint64_t begin_ns,
   }
 }
 
-void WorkerTelemetry::narrow_slice(std::uint64_t begin_ns,
-                                   std::uint64_t end_ns) {
-  TraceEvent event;
-  event.name = "narrow";
-  event.begin_ns = begin_ns;
-  event.end_ns = end_ns;
-  track_->push(event);
-}
-
 TelemetryCollector::TelemetryCollector() {
   groups_retired_ = registry_.add_counter("groups_retired", "groups");
   faults_retired_ = registry_.add_counter("faults_retired", "faults");

@@ -36,8 +36,8 @@ struct GroupWidthCounts {
 struct CampaignTelemetry {
   // Construction phases (timed once, in the engine constructor).
   double compile_seconds = 0.0;  ///< kernel compile (0 when interpreted)
-  double golden_seconds = 0.0;   ///< golden trace + slot trace + word image
-  double cone_seconds = 0.0;     ///< eager cone matrices or cone-oracle CSR
+  double golden_seconds = 0.0;   ///< golden trace capture
+  double cone_seconds = 0.0;     ///< always 0: the engine builds no cones
 
   // Artifact cache (fault/artifact_cache.h) accounting for this engine's
   // construction; all zero when CampaignConfig::cache_dir is empty. One
@@ -57,7 +57,7 @@ struct CampaignTelemetry {
   std::uint64_t eval_cycles = 0;
   std::uint64_t eval_instrs = 0;
   std::uint64_t eval_slot_bytes = 0;
-  std::uint64_t narrowings = 0;
+  std::uint64_t narrowings = 0;  ///< always 0: the engine never narrows
   GroupWidthCounts group_widths;
   double lane_occupancy = 1.0;
 
@@ -87,16 +87,13 @@ struct CampaignTelemetry {
 class WorkerTelemetry {
  public:
   /// Record one retired lane group: a trace slice on this worker's track
-  /// (args: width, live lanes, narrowings, cone instrs) plus the shard
+  /// (args: width, live lanes, narrowings, executed instrs) plus the shard
   /// metrics (group counters, width/occupancy/narrowing-depth histograms,
   /// group-duration histogram, peak-occupancy gauge) and the live progress
   /// heartbeat.
   void group_slice(std::uint64_t begin_ns, std::uint64_t end_ns,
                    std::uint32_t width, std::uint32_t live,
                    std::uint32_t narrowings, std::uint64_t instrs);
-
-  /// Record one narrowing re-derivation slice (nests inside a group slice).
-  void narrow_slice(std::uint64_t begin_ns, std::uint64_t end_ns);
 
  private:
   friend class TelemetryCollector;
@@ -141,8 +138,8 @@ class TelemetryCollector {
   /// order), then print the progress summary if progress is enabled.
   void end_run();
 
-  /// Serial phase span on the campaign track (compile, golden, cones,
-  /// plan, grade, dictionary, ...). `name` must outlive the collector
+  /// Serial phase span on the campaign track (compile, golden, plan,
+  /// grade, dictionary, ...). `name` must outlive the collector
   /// (string literal). Campaign-thread only.
   void record_campaign_span(const char* name, std::uint64_t begin_ns,
                             std::uint64_t end_ns);

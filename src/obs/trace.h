@@ -10,7 +10,7 @@ namespace femu::obs {
 
 /// Well-known tracks in the exported trace. Worker tracks are numbered
 /// kWorkerBase + worker_id; the campaign track carries the serial phase
-/// spans (compile, golden, cones, plan, ...) and the journal track the
+/// spans (compile, golden, plan, ...) and the journal track the
 /// flush slices (flushes are mutex-serialized, so one track suffices).
 inline constexpr std::uint32_t kCampaignTrack = 0;
 inline constexpr std::uint32_t kJournalTrack = 999;
@@ -57,7 +57,7 @@ class TrackBuffer {
 /// microseconds as decimal fractions of the raw nanoseconds, rebased to the
 /// earliest begin across all tracks so traces start near t=0. Each track gets
 /// an "M" thread_name metadata record; all tracks share pid 1. Within one
-/// track, events may nest (a narrowing slice inside its group slice) but
+/// track, events may nest (a phase slice inside an enclosing one) but
 /// never partially overlap — the JSON is emitted sorted by begin time with
 /// ties broken longest-duration-first, which is the nesting order the trace
 /// viewers expect.

@@ -1,8 +1,5 @@
 #include "sim/compiled_kernel.h"
 
-#include <algorithm>
-#include <utility>
-
 #include "common/error.h"
 
 namespace femu {
@@ -58,16 +55,6 @@ CompiledKernel::CompiledKernel(const Circuit& circuit) : circuit_(&circuit) {
     program_.push_back(in);
   }
 
-  // Logic levels in one pass: program_ is topological (comb fanins precede
-  // their readers), and non-comb slots (inputs, DFF Qs, constants) are never
-  // written by an instruction, so they keep level 0.
-  levels_.assign(num_slots_, 0);
-  for (const Instr& in : program_) {
-    const std::uint32_t fanin_level =
-        std::max({levels_[in.a], levels_[in.b], levels_[in.c]});
-    levels_[in.dest] = fanin_level + 1;
-  }
-
   input_slots_.assign(circuit.inputs().begin(), circuit.inputs().end());
   dff_slots_.assign(circuit.dffs().begin(), circuit.dffs().end());
   const std::vector<NodeId> drivers = circuit.dff_drivers();
@@ -76,146 +63,6 @@ CompiledKernel::CompiledKernel(const Circuit& circuit) : circuit_(&circuit) {
   for (const auto& port : circuit.outputs()) {
     output_slots_.push_back(port.driver);
   }
-}
-
-void CompiledKernel::build_subprogram(std::span<const std::uint64_t> mask,
-                                      ConeSubProgram& sp,
-                                      const ConeSubProgram* narrow_from,
-                                      bool levelize) const {
-  FEMU_CHECK(mask.size() == (num_slots_ + 63) / 64, "cone mask words ",
-             mask.size(), " != ", (num_slots_ + 63) / 64);
-  sp.instrs.clear();
-  sp.global_of_local.clear();
-  sp.boundary_slots.clear();
-  sp.boundary_locals.clear();
-  sp.dff_indices.clear();
-  sp.dff_q_locals.clear();
-  sp.dff_d_locals.clear();
-  sp.out_indices.clear();
-  sp.out_locals.clear();
-  sp.cone_mask.assign(mask.begin(), mask.end());
-  sp.seen.assign(mask.size(), 0);
-
-  const auto in_mask = [&](std::uint32_t s) {
-    return ((mask[s >> 6] >> (s & 63)) & 1) != 0;
-  };
-  // `seen` dedupes boundary slots; seeding it with the cone itself means a
-  // single test ("not yet seen") covers both "outside the cone" and "not
-  // already collected".
-  for (std::size_t w = 0; w < mask.size(); ++w) sp.seen[w] = mask[w];
-  const auto note_read = [&](std::uint32_t s) {
-    if (((sp.seen[s >> 6] >> (s & 63)) & 1) == 0) {
-      sp.seen[s >> 6] |= std::uint64_t{1} << (s & 63);
-      sp.boundary_slots.push_back(s);
-    }
-  };
-
-  // Pass 1 — filter the instruction stream, operating in *global* slot
-  // space (a narrowing source carries arena-local operands, translated back
-  // through its global_of_local table). Narrowing always derives a subset,
-  // so filtering the previous sub-program instead of the whole kernel
-  // program cuts derivation cost to the size of what is still running.
-  if (narrow_from == nullptr) {
-    for (const Instr& in : program_) {
-      if (!in_mask(in.dest)) continue;
-      sp.instrs.push_back(in);
-      note_read(in.a);
-      note_read(in.b);
-      note_read(in.c);
-    }
-    for (std::size_t i = 0; i < dff_slots_.size(); ++i) {
-      if (!in_mask(dff_slots_[i])) continue;
-      sp.dff_indices.push_back(static_cast<std::uint32_t>(i));
-      // A cone root FF may be driven from outside its own cone; its D slot
-      // is then a boundary read at step time.
-      note_read(dff_d_slots_[i]);
-    }
-    for (std::size_t i = 0; i < output_slots_.size(); ++i) {
-      if (in_mask(output_slots_[i])) {
-        sp.out_indices.push_back(static_cast<std::uint32_t>(i));
-      }
-    }
-  } else {
-    const std::vector<std::uint32_t>& gol = narrow_from->global_of_local;
-    for (const Instr& in : narrow_from->instrs) {
-      Instr g;
-      g.dest = gol[in.dest];
-      if (!in_mask(g.dest)) continue;
-      g.a = gol[in.a];
-      g.b = gol[in.b];
-      g.c = gol[in.c];
-      g.op = in.op;
-      g.neg = in.neg;
-      sp.instrs.push_back(g);
-      note_read(g.a);
-      note_read(g.b);
-      note_read(g.c);
-    }
-    for (const std::uint32_t i : narrow_from->dff_indices) {
-      if (!in_mask(dff_slots_[i])) continue;
-      sp.dff_indices.push_back(i);
-      note_read(dff_d_slots_[i]);
-    }
-    for (const std::uint32_t i : narrow_from->out_indices) {
-      if (in_mask(output_slots_[i])) {
-        sp.out_indices.push_back(i);
-      }
-    }
-  }
-
-  // Levelized blocking: reorder the filtered stream by (level, node id)
-  // before arena assignment, so pass 2 lays each logic level's destinations
-  // out as one contiguous arena block and operand reads hit the block
-  // written just before (see the header). Any (level, ...) order is
-  // topological, so results are bit-identical. Narrowing sources are
-  // already levelized (or deliberately not) — a filtered subsequence keeps
-  // the source's order, so only full builds sort. Node id breaks level ties
-  // deterministically; dests are unique, so plain sort suffices.
-  if (levelize && narrow_from == nullptr) {
-    std::sort(sp.instrs.begin(), sp.instrs.end(),
-              [&](const Instr& x, const Instr& y) {
-                return std::pair{levels_[x.dest], x.dest} <
-                       std::pair{levels_[y.dest], y.dest};
-              });
-  }
-
-  // Pass 2 — arena assignment: dense local indices for every slot the
-  // sub-program touches. Loaded slots lead (boundary golden words, then
-  // cone DFF state words), then each instruction claims the next index for
-  // its destination in stream order, which keeps local destinations
-  // strictly ascending (the overlay-merge invariant). `local_of_slot` keeps
-  // its storage across derivations; `has_local` marks which entries belong
-  // to *this* build.
-  sp.local_of_slot.resize(num_slots_);
-  sp.has_local.assign(mask.size(), 0);
-  std::uint32_t next_local = 0;
-  const auto give_local = [&](std::uint32_t s) {
-    if (((sp.has_local[s >> 6] >> (s & 63)) & 1) == 0) {
-      sp.has_local[s >> 6] |= std::uint64_t{1} << (s & 63);
-      sp.local_of_slot[s] = next_local++;
-      sp.global_of_local.push_back(s);
-    }
-    return sp.local_of_slot[s];
-  };
-  for (const std::uint32_t s : sp.boundary_slots) {
-    sp.boundary_locals.push_back(give_local(s));
-  }
-  for (const std::uint32_t i : sp.dff_indices) {
-    sp.dff_q_locals.push_back(give_local(dff_slots_[i]));
-  }
-  for (Instr& in : sp.instrs) {
-    in.a = give_local(in.a);
-    in.b = give_local(in.b);
-    in.c = give_local(in.c);
-    in.dest = give_local(in.dest);
-  }
-  for (const std::uint32_t i : sp.dff_indices) {
-    sp.dff_d_locals.push_back(give_local(dff_d_slots_[i]));
-  }
-  for (const std::uint32_t i : sp.out_indices) {
-    sp.out_locals.push_back(give_local(output_slots_[i]));
-  }
-  sp.arena_slots = next_local;
 }
 
 std::shared_ptr<const CompiledKernel> compile_kernel(const Circuit& circuit) {

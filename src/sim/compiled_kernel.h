@@ -1,6 +1,5 @@
 #pragma once
 
-#include <bit>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -43,7 +42,8 @@ enum class SimBackend : std::uint8_t {
 /// serves any number of engines concurrently (the threaded campaign sharder
 /// builds one kernel and hands it to every worker). The eval loop is
 /// templated on the lane word type, so the same program runs the scalar
-/// (Word8), 64-lane (uint64_t) and 256-lane (Word256) engines.
+/// (Word8), 64-lane (uint64_t), 256-lane (Word256) and 512-lane (Word512)
+/// engines.
 class CompiledKernel {
  public:
   struct Instr {
@@ -56,8 +56,7 @@ class CompiledKernel {
     /// the optimizer absorbs BUF/NOT producers into their consumers by
     /// flipping these bits instead of keeping the inverter instruction
     /// around (see sim/kernel_opt.h). Lowering always emits 0; every eval
-    /// path (generic, AVX-512, limb fallback) honours the flags
-    /// branch-free, and sub-program derivation copies them verbatim.
+    /// path (generic, AVX-512, limb fallback) honours the flags.
     std::uint8_t neg = 0;
   };
 
@@ -74,13 +73,6 @@ class CompiledKernel {
     return program_;
   }
 
-  /// Combinational logic level per value slot: 0 for sources (inputs, DFF Q
-  /// pins, constants), 1 + max(fanin levels) for gate outputs. Drives the
-  /// levelized arena layout of cone sub-programs (see build_subprogram).
-  [[nodiscard]] std::span<const std::uint32_t> levels() const noexcept {
-    return levels_;
-  }
-
   [[nodiscard]] std::span<const std::uint32_t> input_slots() const noexcept {
     return input_slots_;
   }
@@ -94,91 +86,6 @@ class CompiledKernel {
   [[nodiscard]] std::span<const std::uint32_t> output_slots() const noexcept {
     return output_slots_;
   }
-
-  /// A cone-restricted view of the program: the instructions whose
-  /// destination lies inside a node-id bitset (a fanout-cone union), plus the
-  /// index tables the differential engine needs each cycle. Derived from a
-  /// kernel via build_subprogram(); the vectors are reused across
-  /// re-derivations (narrowing) without reallocating.
-  ///
-  /// **Cache-blocked slot arena.** The sub-program does not evaluate against
-  /// the kernel's full slot array (one word per circuit node — for a
-  /// 100k-gate circuit at Word512 that is several MB a cone eval would
-  /// gather across). Instead derivation renumbers every slot the sub-program
-  /// touches into a dense local *arena*: golden/boundary words and cone DFF
-  /// state words get the leading arena slots, then each instruction's
-  /// destination gets the next slot in levelized stream order. Instruction
-  /// operands are rewritten to arena indices, so evaluation streams linearly
-  /// over an arena sized to the cone (cone + boundary slots only) — the
-  /// working set of a small cone fits in L1/L2 at any lane width. Local
-  /// destinations stay strictly ascending (the overlay-merge invariant).
-  ///
-  ///   instrs          — program() filtered to cone destinations, sorted by
-  ///                     (level, node id) when the build levelizes (see
-  ///                     below), operands/destinations in arena space
-  ///   arena_slots     — arena size in words
-  ///   global_of_local — arena index -> kernel slot (node id)
-  ///   local_of_slot   — kernel slot -> arena index; valid only for slots
-  ///                     this sub-program touches (check cone_mask first)
-  ///   cone_mask       — copy of the mask this sub-program was derived from
-  ///   boundary_slots  — kernel slots read by the sub-program (instruction
-  ///                     fanins and cone-DFF D drivers) but computed outside
-  ///                     the cone; provably golden in every lane, loaded per
-  ///                     cycle with broadcast golden values from a
-  ///                     GoldenSlotTrace into boundary_locals
-  ///   dff_indices     — flip-flops whose Q node is in the cone (the only
-  ///                     FFs that can diverge; step/state-compare are
-  ///                     restricted to these); dff_q_locals / dff_d_locals
-  ///                     are the parallel arena slots of their Q value and
-  ///                     D-driver value
-  ///   out_indices     — primary outputs whose driver is in the cone (the
-  ///                     only outputs that can mismatch); out_locals the
-  ///                     parallel arena slots of the drivers
-  struct ConeSubProgram {
-    std::vector<Instr> instrs;
-    std::size_t arena_slots = 0;
-    std::vector<std::uint32_t> global_of_local;
-    std::vector<std::uint32_t> local_of_slot;
-    std::vector<std::uint64_t> cone_mask;
-    std::vector<std::uint32_t> boundary_slots;
-    std::vector<std::uint32_t> boundary_locals;
-    std::vector<std::uint32_t> dff_indices;
-    std::vector<std::uint32_t> dff_q_locals;
-    std::vector<std::uint32_t> dff_d_locals;
-    std::vector<std::uint32_t> out_indices;
-    std::vector<std::uint32_t> out_locals;
-    std::vector<std::uint64_t> seen;       // derivation scratch, one bit per slot
-    std::vector<std::uint64_t> has_local;  // derivation scratch, one bit per slot
-
-    /// True when kernel slot `s` (a node id) is a cone member — i.e. the
-    /// sub-program recomputes it and an overlay may target it.
-    [[nodiscard]] bool in_cone(std::uint32_t s) const noexcept {
-      return ((cone_mask[s >> 6] >> (s & 63)) & 1) != 0;
-    }
-  };
-
-  /// Fills `sp` with the sub-program for cone `mask` (a bitset over node
-  /// ids, ceil(num_slots/64) words — see FanoutCones). Reuses sp's storage.
-  /// When `narrow_from` is given, `mask` must be a subset of its cone and
-  /// the derivation filters that sub-program instead of the whole kernel
-  /// program (the narrowing fast path). `narrow_from` must not alias `sp`.
-  ///
-  /// `levelize` reorders the filtered instructions by (logic level, node id)
-  /// before arena assignment — any (level, ...) order is topological, so the
-  /// dataflow (and therefore every lane bit) is unchanged, but each level's
-  /// destinations now occupy one contiguous arena block and an instruction's
-  /// operand reads land in the block written just before it (plus the
-  /// leading boundary/state block) instead of gathering across the whole
-  /// arena. Arena destinations stay strictly ascending either way (each
-  /// instruction claims the next free arena slot in stream order), so the
-  /// overlay merge is unaffected; overlay dests are translated through this
-  /// build's local_of_slot as always. A narrowing derivation inherits the
-  /// source's order (a subsequence of a levelized stream is levelized), so
-  /// the flag only matters for full builds.
-  void build_subprogram(std::span<const std::uint64_t> mask,
-                        ConeSubProgram& sp,
-                        const ConeSubProgram* narrow_from = nullptr,
-                        bool levelize = true) const;
 
   /// Zeroes `values` and writes the constant slots. Call once per engine
   /// before the first eval (constants are never re-evaluated).
@@ -207,9 +114,9 @@ class CompiledKernel {
   /// (k1,f1) then (k2,f2) equals the single entry (k1&k2, (f1&k2)^f2), so
   /// several lanes' ops on the same destination — even mixed ops — merge
   /// into one entry. Overlay lists are sorted by dest and merged inline
-  /// against the instruction stream, which is dest-ascending (full program
-  /// and every cone sub-program alike), so injection costs one compare per
-  /// instruction on overlay cycles and nothing on all others.
+  /// against the instruction stream, which is dest-ascending, so injection
+  /// costs one compare per instruction on overlay cycles and nothing on all
+  /// others.
   template <typename Word>
   struct OverlayEntry {
     std::uint32_t dest = 0;
@@ -327,8 +234,7 @@ class CompiledKernel {
 
   /// Executes an instruction sequence with an injection overlay merged in:
   /// `overlay` must be sorted by dest (strictly ascending). Entries whose
-  /// dest is not written by `instrs` are skipped — a narrowed sub-program
-  /// may have dropped an already-injected site.
+  /// dest is not written by `instrs` are skipped.
   template <typename Word>
   static void eval_instrs_overlay(std::span<const Instr> instrs, Word* values,
                                   std::span<const OverlayEntry<Word>> overlay) {
@@ -372,7 +278,7 @@ class CompiledKernel {
 
  private:
   /// The optimizer (sim/kernel_opt.cpp) clones a kernel and rewrites
-  /// program_/levels_/const1_slots_ in place under the preserve contract.
+  /// program_/const1_slots_ in place under the preserve contract.
   friend class KernelOptimizer;
   /// The artifact cache (fault/artifact_cache.cpp) serializes an optimized
   /// kernel and reconstructs it against a freshly validated circuit.
@@ -382,7 +288,6 @@ class CompiledKernel {
   const Circuit* circuit_ = nullptr;
   std::size_t num_slots_ = 0;
   std::vector<Instr> program_;
-  std::vector<std::uint32_t> levels_;
   std::vector<std::uint32_t> input_slots_;
   std::vector<std::uint32_t> dff_slots_;
   std::vector<std::uint32_t> dff_d_slots_;
@@ -411,11 +316,12 @@ void CompiledKernel::eval_instrs_overlay<Word512>(
 /// Generic lane-parallel engine executing a CompiledKernel.
 ///
 /// One instantiation per lane width: LaneEngine<Word8> is the compiled
-/// scalar machine, LaneEngine<std::uint64_t> the 64-lane machine and
-/// LaneEngine<Word256> the 256-lane machine. Lane k of every value word
-/// carries machine k; inputs are broadcast to all lanes. Mismatch queries
-/// take precomputed golden word images (see GoldenWordImage) so the hot loop
-/// never re-broadcasts golden bits.
+/// scalar machine, LaneEngine<std::uint64_t> the 64-lane machine,
+/// LaneEngine<Word256> and LaneEngine<Word512> the 256- and 512-lane
+/// machines. Lane k of every value word carries machine k. Stimuli and
+/// golden comparisons take the bit-packed golden vectors and broadcast each
+/// bit as it is read — one mask per signal, never a materialized per-cycle
+/// lane-word image.
 template <typename Word>
 class LaneEngine {
  public:
@@ -443,8 +349,9 @@ class LaneEngine {
 
   /// Broadcasts the scalar state to every lane.
   void broadcast_state(const BitVec& state) {
+    const std::span<const std::uint64_t> bits = state.words();
     for (std::size_t i = 0; i < state_.size(); ++i) {
-      state_[i] = Traits::broadcast(state.get(i));
+      state_[i] = bit_word(bits, i);
     }
   }
 
@@ -455,73 +362,22 @@ class LaneEngine {
 
   /// Combinational evaluation with `inputs` broadcast to every lane.
   void eval(const BitVec& inputs) {
-    const auto pis = kernel_->input_slots();
-    for (std::size_t i = 0; i < pis.size(); ++i) {
-      values_[pis[i]] = Traits::broadcast(inputs.get(i));
-    }
-    load_state_and_eval();
+    load_inputs_and_state(inputs);
+    kernel_->eval(values_.data());
   }
 
-  /// Combinational evaluation from pre-broadcast input words (one word per
-  /// primary input, e.g. GoldenWordImage::inputs(t)) — skips the per-bit
-  /// extract+broadcast of the BitVec overload.
-  void eval_words(std::span<const Word> input_words) {
-    const auto pis = kernel_->input_slots();
-    for (std::size_t i = 0; i < pis.size(); ++i) {
-      values_[pis[i]] = input_words[i];
-    }
-    load_state_and_eval();
-  }
-
-  /// eval_words with an injection overlay (sorted by dest) merged into
-  /// the instruction stream — see CompiledKernel::OverlayEntry.
-  void eval_words_overlay(
-      std::span<const Word> input_words,
+  /// eval with an injection overlay (sorted by dest) merged into the
+  /// instruction stream — see CompiledKernel::OverlayEntry.
+  void eval_overlay(
+      const BitVec& inputs,
       std::span<const CompiledKernel::OverlayEntry<Word>> overlay) {
+    load_inputs_and_state(inputs);
     if (overlay.empty()) {
-      eval_words(input_words);
-      return;
+      kernel_->eval(values_.data());
+    } else {
+      CompiledKernel::eval_instrs_overlay<Word>(kernel_->program(),
+                                                values_.data(), overlay);
     }
-    const auto pis = kernel_->input_slots();
-    for (std::size_t i = 0; i < pis.size(); ++i) {
-      values_[pis[i]] = input_words[i];
-    }
-    const auto dffs = kernel_->dff_slots();
-    for (std::size_t i = 0; i < dffs.size(); ++i) {
-      values_[dffs[i]] = state_[i];
-    }
-    CompiledKernel::eval_instrs_overlay<Word>(kernel_->program(),
-                                              values_.data(), overlay);
-  }
-
-  /// Differential evaluation of a cone sub-program against its dense slot
-  /// arena. Boundary arena slots are loaded with broadcast golden values for
-  /// this cycle (`golden_slots` is GoldenSlotTrace::at(t)), cone DFF arena
-  /// slots from lane state, then only the cone instructions execute —
-  /// streaming linearly over an arena sized to the cone instead of
-  /// gathering across the full slot array. After this call every arena slot
-  /// is exact.
-  void eval_cone(const CompiledKernel::ConeSubProgram& sp,
-                 const BitVec& golden_slots) {
-    load_cone_arena(sp, golden_slots);
-    CompiledKernel::eval_instrs<Word>(sp.instrs, arena_.data());
-  }
-
-  /// eval_cone with an injection overlay merged into the sub-program
-  /// stream. Overlay destinations are **arena** indices (translate a kernel
-  /// slot through sp.local_of_slot, gated on sp.in_cone — sites the
-  /// sub-program no longer computes must be dropped by the caller), sorted
-  /// ascending.
-  void eval_cone_overlay(
-      const CompiledKernel::ConeSubProgram& sp, const BitVec& golden_slots,
-      std::span<const CompiledKernel::OverlayEntry<Word>> overlay) {
-    if (overlay.empty()) {
-      eval_cone(sp, golden_slots);
-      return;
-    }
-    load_cone_arena(sp, golden_slots);
-    CompiledKernel::eval_instrs_overlay<Word>(sp.instrs, arena_.data(),
-                                              overlay);
   }
 
   /// Clock edge: state <- D in every lane.
@@ -532,51 +388,12 @@ class LaneEngine {
     }
   }
 
-  /// Clock edge restricted to cone flip-flops (the only ones that can hold
-  /// non-golden values), fused with the golden-state comparison the campaign
-  /// engine needs every cycle — one pass over the cone FFs instead of two.
-  /// Non-cone state words go stale and must not be read until the next
-  /// broadcast_state().
-  [[nodiscard]] Word step_cone_mismatch(
-      const CompiledKernel::ConeSubProgram& sp,
-      std::span<const Word> golden_state_words) {
-    Word mismatch = Traits::zero();
-    for (std::size_t k = 0; k < sp.dff_indices.size(); ++k) {
-      const std::uint32_t i = sp.dff_indices[k];
-      const Word next = arena_[sp.dff_d_locals[k]];
-      state_[i] = next;
-      mismatch |= next ^ golden_state_words[i];
-    }
-    return mismatch;
-  }
-
-  /// step_cone_mismatch with per-FF latching-window thinning: the lanes of
-  /// `suppress[k]` (parallel to sp.dff_indices) latch the broadcast golden
-  /// next-state bit instead of their computed D value — a transient pulse
-  /// that missed flip-flop k's setup window in those lanes. Only called on
-  /// cycles where a pulse-width fault injects; all other cycles take the
-  /// plain variant above.
-  [[nodiscard]] Word step_cone_mismatch_thinned(
-      const CompiledKernel::ConeSubProgram& sp,
-      std::span<const Word> golden_state_words,
-      std::span<const Word> suppress) {
-    Word mismatch = Traits::zero();
-    for (std::size_t k = 0; k < sp.dff_indices.size(); ++k) {
-      const std::uint32_t i = sp.dff_indices[k];
-      const Word golden = golden_state_words[i];
-      const Word next = (arena_[sp.dff_d_locals[k]] & ~suppress[k]) |
-                        (golden & suppress[k]);
-      state_[i] = next;
-      mismatch |= next ^ golden;
-    }
-    return mismatch;
-  }
-
-  /// Forces the lanes of `lanes` in flip-flop `ff_index`'s state word to the
-  /// broadcast golden word — the full-eval path's latching-window thinning,
-  /// applied between step() and the state-mismatch query.
-  void force_state_lanes(std::size_t ff_index, Word lanes, Word golden_word) {
-    state_[ff_index] = (state_[ff_index] & ~lanes) | (golden_word & lanes);
+  /// Forces the lanes of `lanes` in flip-flop `ff_index`'s state word to
+  /// `golden_bit` — latching-window thinning, applied between step() and the
+  /// state-mismatch query.
+  void force_state_lanes(std::size_t ff_index, Word lanes, bool golden_bit) {
+    state_[ff_index] = (state_[ff_index] & ~lanes) |
+                       (Traits::broadcast(golden_bit) & lanes);
   }
 
   void cycle(const BitVec& inputs) {
@@ -584,39 +401,24 @@ class LaneEngine {
     step();
   }
 
-  /// Lanes whose primary outputs differ from the precomputed golden output
-  /// words for the current cycle. Call after eval().
-  [[nodiscard]] Word output_mismatch_lanes(
-      std::span<const Word> golden_out_words) const {
+  /// Lanes whose primary outputs differ from the golden outputs. Call after
+  /// eval().
+  [[nodiscard]] Word output_mismatch_lanes(const BitVec& golden_outputs) const {
     const auto outs = kernel_->output_slots();
+    const std::span<const std::uint64_t> bits = golden_outputs.words();
     Word mismatch = Traits::zero();
     for (std::size_t i = 0; i < outs.size(); ++i) {
-      mismatch |= values_[outs[i]] ^ golden_out_words[i];
+      mismatch |= values_[outs[i]] ^ bit_word(bits, i);
     }
     return mismatch;
   }
 
-  /// Lanes whose flip-flop state differs from the precomputed golden state
-  /// words.
-  [[nodiscard]] Word state_mismatch_lanes(
-      std::span<const Word> golden_state_words) const {
+  /// Lanes whose flip-flop state differs from the golden state.
+  [[nodiscard]] Word state_mismatch_lanes(const BitVec& golden_state) const {
+    const std::span<const std::uint64_t> bits = golden_state.words();
     Word mismatch = Traits::zero();
     for (std::size_t i = 0; i < state_.size(); ++i) {
-      mismatch |= state_[i] ^ golden_state_words[i];
-    }
-    return mismatch;
-  }
-
-  /// Cone-restricted output mismatch: only cone outputs can deviate from
-  /// golden, so only those are compared. Exact — equal to the full-width
-  /// query whenever lane state outside the cone is golden. (The state-side
-  /// equivalent is fused into step_cone_mismatch.)
-  [[nodiscard]] Word output_mismatch_lanes_cone(
-      const CompiledKernel::ConeSubProgram& sp,
-      std::span<const Word> golden_out_words) const {
-    Word mismatch = Traits::zero();
-    for (std::size_t k = 0; k < sp.out_indices.size(); ++k) {
-      mismatch |= arena_[sp.out_locals[k]] ^ golden_out_words[sp.out_indices[k]];
+      mismatch |= state_[i] ^ bit_word(bits, i);
     }
     return mismatch;
   }
@@ -640,62 +442,30 @@ class LaneEngine {
     return out;
   }
 
-  /// Outputs of one lane after eval_cone(): cone outputs read from the
-  /// arena, every other output copied from the golden vector — exact,
-  /// because a lane can deviate from golden only inside the (narrowed)
-  /// sub-program's cone. Used to form full-width failure syndromes
-  /// (faulty XOR golden) without ever leaving the cone-restricted path.
-  [[nodiscard]] BitVec lane_outputs_cone(
-      const CompiledKernel::ConeSubProgram& sp, const BitVec& golden_outputs,
-      unsigned lane) const {
-    BitVec out = golden_outputs;
-    for (std::size_t k = 0; k < sp.out_indices.size(); ++k) {
-      out.set(sp.out_indices[k], Traits::test(arena_[sp.out_locals[k]], lane));
-    }
-    return out;
-  }
-
   /// Raw lane word of a node after eval() (diagnostics).
   [[nodiscard]] Word node_word(NodeId id) const { return values_[id]; }
 
-  /// Raw lane word of flip-flop `ff_index` (the divergence-narrowing scan
-  /// reads these to find which FFs still differ from golden).
-  [[nodiscard]] Word state_word(std::size_t ff_index) const {
-    return state_[ff_index];
+ private:
+  /// Bit `i` of a packed golden vector, broadcast to every lane.
+  [[nodiscard]] static Word bit_word(std::span<const std::uint64_t> bits,
+                                     std::size_t i) {
+    return Traits::broadcast(((bits[i >> 6] >> (i & 63)) & 1) != 0);
   }
 
- private:
-  void load_state_and_eval() {
+  void load_inputs_and_state(const BitVec& inputs) {
+    const auto pis = kernel_->input_slots();
+    const std::span<const std::uint64_t> bits = inputs.words();
+    for (std::size_t i = 0; i < pis.size(); ++i) {
+      values_[pis[i]] = bit_word(bits, i);
+    }
     const auto dffs = kernel_->dff_slots();
     for (std::size_t i = 0; i < dffs.size(); ++i) {
       values_[dffs[i]] = state_[i];
-    }
-    kernel_->eval(values_.data());
-  }
-
-  /// Loads the sub-program's dense arena: golden boundary words and cone
-  /// DFF state words into their leading arena slots. Grows (never shrinks)
-  /// the arena buffer, so its capacity stabilises at the largest cone a
-  /// worker ever evaluates.
-  void load_cone_arena(const CompiledKernel::ConeSubProgram& sp,
-                       const BitVec& golden_slots) {
-    if (arena_.size() < sp.arena_slots) {
-      arena_.resize(sp.arena_slots);
-    }
-    const std::span<const std::uint64_t> gw = golden_slots.words();
-    for (std::size_t k = 0; k < sp.boundary_slots.size(); ++k) {
-      const std::uint32_t s = sp.boundary_slots[k];
-      arena_[sp.boundary_locals[k]] =
-          Traits::broadcast(((gw[s >> 6] >> (s & 63)) & 1) != 0);
-    }
-    for (std::size_t k = 0; k < sp.dff_indices.size(); ++k) {
-      arena_[sp.dff_q_locals[k]] = state_[sp.dff_indices[k]];
     }
   }
 
   std::shared_ptr<const CompiledKernel> kernel_;
   std::vector<Word> values_;  // per node slot, one lane per bit
-  std::vector<Word> arena_;   // dense cone-eval working set (see ConeSubProgram)
   std::vector<Word> state_;   // per DFF
 };
 

@@ -12,16 +12,12 @@ namespace femu {
 /// Golden value of **every kernel slot** at every cycle — the fault-free
 /// machine's full combinational settle, 1 bit per slot per cycle.
 ///
-/// The cone-restricted engine evaluates only the instructions inside a fault
-/// group's fanout-cone union. Instructions at the cone boundary read fanin
-/// slots the sub-program never computes; those slots are provably golden in
-/// every lane, so each cycle they are loaded with the broadcast golden value
-/// from this trace instead of being recomputed. Slot index == node id, so
+/// A diagnostic view of the golden run: slot index == node id, so
 /// `at(t).get(slot)` is the value node `slot` settled to during cycle t
-/// (inputs hold vector t, DFF Q slots hold the start-of-cycle-t state).
+/// (inputs hold vector t, DFF Q slots hold the start-of-cycle-t state). The
+/// campaign engine itself needs only the output/state GoldenTrace.
 ///
-/// Size: num_slots x num_cycles bits — for b14 x 160 vectors about 47 KiB,
-/// captured once per campaign and shared read-only by every worker.
+/// Size: num_slots x num_cycles bits — for b14 x 160 vectors about 47 KiB.
 struct GoldenSlotTrace {
   std::size_t num_slots = 0;
   std::vector<BitVec> cycles;
@@ -39,8 +35,7 @@ struct GoldenSlotTrace {
     const CompiledKernel& kernel, std::span<const BitVec> vectors);
 
 /// Both golden views of one fault-free run: the output/state trace the
-/// classifiers compare against, and (optionally) the full per-slot trace the
-/// cone-restricted engine reads at cone boundaries.
+/// classifiers compare against, and (optionally) the full per-slot trace.
 struct GoldenCapture {
   GoldenTrace trace;
   GoldenSlotTrace slots;

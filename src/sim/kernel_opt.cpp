@@ -8,7 +8,7 @@
 
 namespace femu {
 
-/// Friend of CompiledKernel: rewrites a cloned kernel's program_, levels_,
+/// Friend of CompiledKernel: rewrites a cloned kernel's program_,
 /// const1_slots_ and opt_stats_ in place. One forward walk interleaves
 /// absorption and folding over a per-slot value lattice; a backward sweep
 /// eliminates dead logic. See kernel_opt.h for the pass pipeline and the
@@ -249,8 +249,7 @@ class KernelOptimizer {
 
   /// Lowers a simplified instruction back to Instr form, keeping the
   /// lowering's unused-operand convention (b == a for unary, c == a for
-  /// binary) so sub-program derivation never collects a stray boundary
-  /// read of a deleted slot.
+  /// binary) so no instruction ever reads a deleted slot.
   [[nodiscard]] Instr encode(std::uint32_t dest, const Result& res) const {
     Instr out;
     out.dest = dest;
@@ -440,7 +439,7 @@ void KernelOptimizer::run() {
 
   // Rebuild. Destinations keep their original relative order (deletion and
   // in-place rewriting only), so the program stays dest-ascending — the
-  // overlay-merge and arena-derivation invariants hold unchanged.
+  // overlay-merge invariant holds unchanged.
   std::vector<Instr> out;
   out.reserve(program.size());
   std::vector<std::uint32_t> folded_const1;
@@ -477,14 +476,6 @@ void KernelOptimizer::run() {
   k_.const1_slots_.insert(k_.const1_slots_.end(), folded_const1.begin(),
                           folded_const1.end());
   std::sort(k_.const1_slots_.begin(), k_.const1_slots_.end());
-
-  // Logic levels of the rewritten stream (same one-pass scheme as the
-  // lowering ctor; the stream is still topological).
-  k_.levels_.assign(n, 0);
-  for (const Instr& in : k_.program_) {
-    k_.levels_[in.dest] =
-        std::max({k_.levels_[in.a], k_.levels_[in.b], k_.levels_[in.c]}) + 1;
-  }
 
   k_.opt_stats_ = stats;
 }

@@ -51,14 +51,11 @@ namespace femu {
 /// overlayable.
 ///
 /// Destination order is untouched (instructions are deleted or rewritten
-/// in place), so the program stays dest-ascending — the overlay-merge and
-/// sub-program arena invariants hold unchanged. Every emitted operand
-/// refers to a materialized destination or a source slot, and optimized
-/// dependence edges are contractions of raw paths, so fanout cones derived
-/// from the *raw* circuit remain sound over-approximations for the
-/// optimized stream and boundary slots stay golden-loadable from the raw
-/// GoldenSlotTrace. Classifications are bit-identical to the raw kernel
-/// for any campaign whose injection sites are covered by `preserve`.
+/// in place), so the program stays dest-ascending — the overlay-merge
+/// invariant holds unchanged. Every emitted operand refers to a
+/// materialized destination or a source slot. Classifications are
+/// bit-identical to the raw kernel for any campaign whose injection sites
+/// are covered by `preserve`.
 ///
 /// Instruction-reduction accounting lands in the clone's `opt_stats()`.
 /// `preserve` may be unsorted and contain duplicates or source-slot ids

@@ -74,17 +74,6 @@ void ParallelSimulator::eval(const BitVec& inputs) {
   eval_loaded_inputs();
 }
 
-void ParallelSimulator::eval_words(
-    std::span<const std::uint64_t> input_words) {
-  FEMU_CHECK(input_words.size() == circuit_.num_inputs(), "input width ",
-             input_words.size(), " != ", circuit_.num_inputs());
-  const auto& pis = circuit_.inputs();
-  for (std::size_t i = 0; i < pis.size(); ++i) {
-    values_[pis[i]] = input_words[i];
-  }
-  eval_loaded_inputs();
-}
-
 void ParallelSimulator::eval_loaded_inputs() {
   const auto& dffs = circuit_.dffs();
   for (std::size_t i = 0; i < dffs.size(); ++i) {
@@ -134,29 +123,6 @@ std::uint64_t ParallelSimulator::state_mismatch_lanes(
   std::uint64_t mismatch = 0;
   for (std::size_t i = 0; i < state_.size(); ++i) {
     mismatch |= state_[i] ^ broadcast(golden_state.get(i));
-  }
-  return mismatch;
-}
-
-std::uint64_t ParallelSimulator::output_mismatch_lanes(
-    std::span<const std::uint64_t> golden_out_words) const {
-  const auto& outputs = circuit_.outputs();
-  FEMU_CHECK(golden_out_words.size() == outputs.size(), "output width ",
-             golden_out_words.size(), " != ", outputs.size());
-  std::uint64_t mismatch = 0;
-  for (std::size_t i = 0; i < outputs.size(); ++i) {
-    mismatch |= values_[outputs[i].driver] ^ golden_out_words[i];
-  }
-  return mismatch;
-}
-
-std::uint64_t ParallelSimulator::state_mismatch_lanes(
-    std::span<const std::uint64_t> golden_state_words) const {
-  FEMU_CHECK(golden_state_words.size() == state_.size(), "state width ",
-             golden_state_words.size(), " != ", state_.size());
-  std::uint64_t mismatch = 0;
-  for (std::size_t i = 0; i < state_.size(); ++i) {
-    mismatch |= state_[i] ^ golden_state_words[i];
   }
   return mismatch;
 }

@@ -49,11 +49,6 @@ class ParallelSimulator {
   /// Combinational evaluation with `inputs` broadcast to every lane.
   void eval(const BitVec& inputs);
 
-  /// Combinational evaluation from pre-broadcast input words (one word per
-  /// primary input, e.g. GoldenWordImage::inputs(t)) — skips the per-bit
-  /// extract+broadcast of the BitVec overload.
-  void eval_words(std::span<const std::uint64_t> input_words);
-
   /// Clock edge: state <- D in every lane.
   void step();
 
@@ -71,13 +66,6 @@ class ParallelSimulator {
   /// (bit k set <=> machine k has not converged back to golden).
   [[nodiscard]] std::uint64_t state_mismatch_lanes(
       const BitVec& golden_state) const;
-
-  /// Fast-path mismatch queries against pre-broadcast golden word images
-  /// (see GoldenWordImage): no per-signal bit-extract/broadcast per call.
-  [[nodiscard]] std::uint64_t output_mismatch_lanes(
-      std::span<const std::uint64_t> golden_out_words) const;
-  [[nodiscard]] std::uint64_t state_mismatch_lanes(
-      std::span<const std::uint64_t> golden_state_words) const;
 
   /// State of one lane as a scalar BitVec (diagnostics / tests).
   [[nodiscard]] BitVec lane_state(unsigned lane) const;

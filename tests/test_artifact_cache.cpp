@@ -1,5 +1,5 @@
 // The persistent artifact cache's contract: a warm load is bit-identical to
-// a cold build (same golden traces, cones, classifications — for every fault
+// a cold build (same golden trace, optimized kernel, classifications — for every fault
 // model and thread count), the key derivation matches what the engine
 // computes, and every bad-entry flavor — corrupt bytes, truncation, version
 // skew, a foreign fingerprint, a netlist edit — degrades to a warned rebuild
@@ -21,9 +21,8 @@
 #include "fault/parallel_faultsim.h"
 #include "fault/set_model.h"
 #include "fault/stuckat_model.h"
-#include "netlist/fanout_cones.h"
+#include "sim/kernel_opt.h"
 #include "sim/golden.h"
-#include "sim/golden_slots.h"
 #include "stim/generate.h"
 
 namespace femu {
@@ -106,15 +105,14 @@ fs::path only_entry(const std::string& dir) {
 }
 
 CampaignConfig cached_config(const std::string& dir, unsigned threads = 0) {
-  CampaignConfig config;  // default: compiled, cone-restricted, cone-affine
+  CampaignConfig config;  // default: compiled, 512 lanes, optimizing
   config.cache_dir = dir;
   config.num_threads = threads;
   return config;
 }
 
-/// The exact key the engine derives for the default (eager-cone,
-/// cone-restricted, optimizing) configuration — kept in lockstep by
-/// CacheKeyMatchesEngine below.
+/// The exact key the engine derives for the default (optimizing)
+/// configuration — kept in lockstep by CacheKeyMatchesEngine below.
 ArtifactCacheKey engine_key(const Circuit& circuit, const Testbench& tb,
                             const CampaignConfig& config) {
   ArtifactCacheKey key;
@@ -122,10 +120,7 @@ ArtifactCacheKey engine_key(const Circuit& circuit, const Testbench& tb,
   key.testbench = testbench_content_hash(tb);
   key.config_rule = campaign_config_rule_hash();
   key.optimizer = optimizer_pipeline_hash(config.optimize);
-  key.shape = artifact_shape_hash(
-      /*on_demand_cones=*/false, /*need_cones=*/true, /*slot_trace=*/true,
-      /*opt_kernel=*/config.optimize, lane_count(config.lanes),
-      config.greedy_order_cap);
+  key.shape = artifact_shape_hash(/*opt_kernel=*/config.optimize);
   return key;
 }
 
@@ -176,8 +171,8 @@ TEST(ArtifactCache, WarmGradingIdenticalForEveryModel) {
   const auto stuckat = complete_stuckat_fault_list(sites);
 
   // One engine per (cache state, model): the four models share one entry
-  // per shape — FF-keyed models hit the slot-trace+cones shape directly,
-  // site-keyed models reuse it too (site structures stay lazy).
+  // (the golden trace and the FF-model kernel; site-keyed kernels are
+  // optimized per run from the raw kernel).
   const auto counts_with = [&](const std::string& cache_dir) {
     std::vector<ClassCounts> all;
     {
@@ -225,29 +220,25 @@ TEST(ArtifactCache, CacheKeyMatchesEngineAndBundleMatchesRebuild) {
 
   // Deserialized artifacts equal a from-scratch rebuild, bit for bit.
   const GoldenTrace golden = capture_golden(circuit, tb.vectors());
-  ASSERT_TRUE(loaded.bundle.has_golden);
   EXPECT_EQ(loaded.bundle.golden.states, golden.states);
   EXPECT_EQ(loaded.bundle.golden.outputs, golden.outputs);
 
-  ASSERT_TRUE(loaded.bundle.has_slot_trace);
-  const auto kernel = compile_kernel(circuit);
-  const GoldenSlotTrace slots = capture_golden_slots(*kernel, tb.vectors());
-  EXPECT_EQ(loaded.bundle.slot_trace.num_slots, slots.num_slots);
-  EXPECT_EQ(loaded.bundle.slot_trace.cycles, slots.cycles);
-
-  ASSERT_NE(loaded.bundle.eager_cones, nullptr);
-  const FanoutCones cones(circuit, 1);
-  ASSERT_EQ(loaded.bundle.eager_cones->num_ffs(), cones.num_ffs());
-  for (std::size_t ff = 0; ff < cones.num_ffs(); ++ff) {
-    const auto a = cones.cone(ff);
-    const auto b = loaded.bundle.eager_cones->cone(ff);
-    ASSERT_EQ(std::memcmp(a.data(), b.data(), a.size_bytes()), 0) << ff;
-    ASSERT_EQ(loaded.bundle.eager_cones->cone_gates(ff), cones.cone_gates(ff));
-  }
-  ASSERT_TRUE(loaded.bundle.has_ff_rank);
-  EXPECT_EQ(loaded.bundle.ff_affinity_rank.size(), circuit.num_dffs());
   ASSERT_NE(loaded.bundle.opt_kernel, nullptr);
-  EXPECT_EQ(loaded.bundle.opt_kernel->num_slots(), kernel->num_slots());
+  const auto opt = optimize_kernel(compile_kernel(circuit), {});
+  EXPECT_EQ(loaded.bundle.opt_kernel->num_slots(), opt->num_slots());
+  const auto a = loaded.bundle.opt_kernel->program();
+  const auto b = opt->program();
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].dest, b[i].dest) << i;
+    EXPECT_EQ(a[i].a, b[i].a) << i;
+    EXPECT_EQ(a[i].b, b[i].b) << i;
+    EXPECT_EQ(a[i].c, b[i].c) << i;
+    EXPECT_EQ(a[i].op, b[i].op) << i;
+    EXPECT_EQ(a[i].neg, b[i].neg) << i;
+  }
+  EXPECT_EQ(loaded.bundle.opt_kernel->opt_stats().opt_instrs,
+            opt->opt_stats().opt_instrs);
 }
 
 // ---- degradation flavors ---------------------------------------------------

@@ -12,7 +12,7 @@
 #include "fault/fault_list.h"
 #include "fault/parallel_faultsim.h"
 #include "sim/compiled_kernel.h"
-#include "sim/golden_words.h"
+#include "sim/golden.h"
 #include "sim/levelized_sim.h"
 #include "sim/parallel_sim.h"
 #include "stim/generate.h"
@@ -150,14 +150,13 @@ TEST(LaneEngine256Test, FlippedLaneDivergesOthersTrackGolden) {
   const auto kernel = compile_kernel(circuit);
   LaneEngine<Word256> engine(kernel);
   const GoldenTrace golden = capture_golden(circuit, tb.vectors());
-  const GoldenWordImage<Word256> image(golden);
 
   engine.broadcast_state(golden.states[0]);
   engine.flip_state_bit(0, 200);  // lane 200 gets the SEU in FF0
   engine.eval(tb.vector(0));
   const Word256 state_diff = [&] {
     engine.step();
-    return engine.state_mismatch_lanes(image.states(1));
+    return engine.state_mismatch_lanes(golden.states[1]);
   }();
   using T = LaneTraits<Word256>;
   EXPECT_TRUE(T::test(state_diff, 200));
@@ -197,12 +196,13 @@ TEST_P(CampaignBackendAgreement, RandomCircuitRandomFaults) {
       circuit, tb, {SimBackend::kCompiled, LaneWidth::k64, 1});
   ParallelFaultSimulator comp256(
       circuit, tb, {SimBackend::kCompiled, LaneWidth::k256, 1});
+  ParallelFaultSimulator comp512(
+      circuit, tb, {SimBackend::kCompiled, LaneWidth::k512, 1});
 
   const CampaignResult a = interp.run(faults);
-  const CampaignResult b = comp64.run(faults);
-  const CampaignResult c = comp256.run(faults);
-  expect_same_outcomes(a, b, "compiled-64");
-  expect_same_outcomes(a, c, "compiled-256");
+  expect_same_outcomes(a, comp64.run(faults), "compiled-64");
+  expect_same_outcomes(a, comp256.run(faults), "compiled-256");
+  expect_same_outcomes(a, comp512.run(faults), "compiled-512");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CampaignBackendAgreement,
@@ -242,13 +242,16 @@ TEST(CampaignShardingTest, DefaultConfigUsesHardwareConcurrency) {
   EXPECT_GE(sim.last_run_threads(), 1u);
 }
 
-TEST(CampaignShardingTest, InterpretedRejects256Lanes) {
+TEST(CampaignShardingTest, InterpretedIgnoresLaneWidth) {
+  // The interpreted oracle always runs 64-lane groups, whatever `lanes` asks.
   const Circuit circuit = circuits::build_shift_register(4);
-  const Testbench tb = zero_testbench(1, 8);
-  EXPECT_THROW(ParallelFaultSimulator(
-                   circuit, tb,
-                   {SimBackend::kInterpreted, LaneWidth::k256, 1}),
-               Error);
+  const Testbench tb = zero_testbench(1, 40);
+  const auto faults = complete_fault_list(circuit.num_dffs(), tb.num_cycles());
+  ParallelFaultSimulator sim(circuit, tb,
+                             {SimBackend::kInterpreted, LaneWidth::k256, 1});
+  (void)sim.run(faults);
+  EXPECT_EQ(sim.last_run_group_widths().g64, (faults.size() + 63) / 64);
+  EXPECT_EQ(sim.last_run_group_widths().g256, 0u);
 }
 
 }  // namespace

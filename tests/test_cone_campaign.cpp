@@ -1,7 +1,7 @@
-// Cone-restricted differential campaign engine: fanout-cone extraction,
-// golden slot trace, sub-program derivation, scheduling permutations and
-// campaign edge cases — always cross-checked against the full-eval compiled
-// path and the interpreted reference.
+// SEU campaign edge cases on the compiled engine — the golden slot trace,
+// scheduling permutations, duplicates, fast-forward and threaded
+// determinism — always cross-checked against the interpreted reference
+// across the engine matrix (lanes {64, 256, 512} x threads {1, 4}).
 
 #include <gtest/gtest.h>
 
@@ -11,30 +11,21 @@
 #include "circuits/generators.h"
 #include "circuits/registry.h"
 #include "circuits/small.h"
+#include "engine_matrix.h"
 #include "fault/fault_list.h"
 #include "fault/parallel_faultsim.h"
-#include "netlist/fanout_cones.h"
 #include "sim/golden_slots.h"
 #include "stim/generate.h"
 
 namespace femu {
 namespace {
 
-CampaignConfig cone_config(LaneWidth lanes = LaneWidth::k64,
-                           unsigned threads = 1) {
-  return {SimBackend::kCompiled, lanes, threads, /*cone_restricted=*/true,
-          CampaignSchedule::kConeAffine};
-}
-
-CampaignConfig full_config(LaneWidth lanes = LaneWidth::k64,
-                           unsigned threads = 1) {
-  return {SimBackend::kCompiled, lanes, threads, /*cone_restricted=*/false,
-          CampaignSchedule::kAsGiven};
+CampaignConfig compiled_config(unsigned threads = 1) {
+  return {SimBackend::kCompiled, LaneWidth::k512, threads};
 }
 
 CampaignConfig interp_config() {
-  return {SimBackend::kInterpreted, LaneWidth::k64, 1,
-          /*cone_restricted=*/false, CampaignSchedule::kAsGiven};
+  return {SimBackend::kInterpreted, LaneWidth::k64, 1};
 }
 
 void expect_same_outcomes(const CampaignResult& a, const CampaignResult& b,
@@ -48,77 +39,17 @@ void expect_same_outcomes(const CampaignResult& a, const CampaignResult& b,
   }
 }
 
-// Grades `faults` under interpreted, compiled-full and cone-restricted
-// configurations (64 and 256 lanes, cycle-major and cone-affine schedules)
-// and requires identical per-fault outcomes in caller order.
+// Grades `faults` under the interpreted reference and every compiled
+// engine configuration and requires identical per-fault outcomes in caller
+// order.
 void cross_check(const Circuit& circuit, const Testbench& tb,
                  std::span<const Fault> faults, const char* label) {
   ParallelFaultSimulator interp(circuit, tb, interp_config());
   const CampaignResult ref = interp.run(faults);
-
-  ParallelFaultSimulator full64(circuit, tb, full_config());
-  expect_same_outcomes(ref, full64.run(faults), label);
-
-  for (const LaneWidth lanes : {LaneWidth::k64, LaneWidth::k256}) {
-    ParallelFaultSimulator cone(circuit, tb, cone_config(lanes));
-    expect_same_outcomes(ref, cone.run(faults), label);
-    CampaignConfig cyc = cone_config(lanes);
-    cyc.schedule = CampaignSchedule::kCycleMajor;
-    ParallelFaultSimulator cone_cyc(circuit, tb, cyc);
-    expect_same_outcomes(ref, cone_cyc.run(faults), label);
-  }
-}
-
-// ---- fanout cones ----------------------------------------------------------
-
-TEST(FanoutConesTest, ShiftRegisterConesAreSuffixes) {
-  // FF i of a shift register feeds FF i+1; its cone is itself plus every
-  // downstream FF (closed across clock edges) plus the output buffer chain.
-  const Circuit c = circuits::build_shift_register(6);
-  const FanoutCones cones(c);
-  ASSERT_EQ(cones.num_ffs(), 6u);
-  for (std::size_t i = 0; i < 6; ++i) {
-    const auto cone = cones.cone(i);
-    EXPECT_TRUE(FanoutCones::test(cone, c.dffs()[i]));
-    for (std::size_t j = 0; j < 6; ++j) {
-      EXPECT_EQ(FanoutCones::test(cone, c.dffs()[j]), j >= i)
-          << "cone(" << i << ") vs FF " << j;
-    }
-  }
-}
-
-TEST(FanoutConesTest, ConeIsClosedUnderMembership) {
-  // Closure: the cone of any FF inside a cone is a subset of that cone —
-  // the invariant the narrowing logic relies on.
-  circuits::RandomCircuitSpec spec;
-  spec.num_inputs = 5;
-  spec.num_outputs = 4;
-  spec.num_dffs = 16;
-  spec.num_gates = 150;
-  const Circuit c = circuits::build_random(spec, 42);
-  const FanoutCones cones(c);
-  for (std::size_t i = 0; i < cones.num_ffs(); ++i) {
-    const auto ci = cones.cone(i);
-    for (std::size_t j = 0; j < cones.num_ffs(); ++j) {
-      if (!FanoutCones::test(ci, c.dffs()[j])) continue;
-      const auto cj = cones.cone(j);
-      for (std::size_t w = 0; w < cones.words_per_cone(); ++w) {
-        EXPECT_EQ(cj[w] & ~ci[w], 0u)
-            << "cone(" << j << ") escapes cone(" << i << ")";
-      }
-    }
-  }
-}
-
-TEST(FanoutConesTest, AffineOrderIsAPermutationWithLeadingPartialBlock) {
-  const Circuit c = circuits::build_by_name("b06_like");
-  const FanoutCones cones(c);
-  const auto order = cone_affine_ff_order(cones, 4);
-  ASSERT_EQ(order.size(), cones.num_ffs());
-  std::vector<std::uint32_t> sorted(order.begin(), order.end());
-  std::sort(sorted.begin(), sorted.end());
-  for (std::size_t i = 0; i < sorted.size(); ++i) {
-    EXPECT_EQ(sorted[i], i);
+  for (const CampaignConfig& config : compiled_engine_matrix()) {
+    ParallelFaultSimulator sim(circuit, tb, config);
+    SCOPED_TRACE(engine_label(config));
+    expect_same_outcomes(ref, sim.run(faults), label);
   }
 }
 
@@ -149,85 +80,13 @@ TEST(GoldenSlotTraceTest, MatchesGoldenTraceProjections) {
   }
 }
 
-// ---- sub-program derivation ------------------------------------------------
-
-TEST(ConeSubProgramTest, FullMaskReproducesWholeProgram) {
-  const Circuit c = circuits::build_by_name("b06_like");
-  const auto kernel = compile_kernel(c);
-  std::vector<std::uint64_t> mask((c.node_count() + 63) / 64,
-                                  ~std::uint64_t{0});
-  CompiledKernel::ConeSubProgram sp;
-  kernel->build_subprogram(mask, sp);
-  EXPECT_EQ(sp.instrs.size(), kernel->program().size());
-  EXPECT_TRUE(sp.boundary_slots.empty());
-  EXPECT_EQ(sp.dff_indices.size(), c.num_dffs());
-  EXPECT_EQ(sp.out_indices.size(), c.num_outputs());
-}
-
-TEST(ConeSubProgramTest, BoundarySlotsAreOutsideTheConeAndReadByIt) {
-  const Circuit c = circuits::build_by_name("b09_like");
-  const auto kernel = compile_kernel(c);
-  const FanoutCones cones(c);
-  CompiledKernel::ConeSubProgram sp;
-  for (std::size_t ff = 0; ff < cones.num_ffs(); ++ff) {
-    kernel->build_subprogram(cones.cone(ff), sp);
-    for (const std::uint32_t s : sp.boundary_slots) {
-      EXPECT_FALSE(FanoutCones::test(cones.cone(ff), s));
-    }
-    // Instruction operands are arena-local; destinations map back to cone
-    // members through global_of_local.
-    for (const auto& in : sp.instrs) {
-      EXPECT_TRUE(
-          FanoutCones::test(cones.cone(ff), sp.global_of_local[in.dest]));
-    }
-  }
-}
-
-TEST(ConeSubProgramTest, ArenaRemapIsDenseAndConsistent) {
-  // The cache-blocked arena: every touched slot has exactly one local
-  // index, locals are dense in [0, arena_slots), instruction destinations
-  // are strictly ascending (the overlay-merge invariant), and the
-  // global/local tables are mutually inverse.
-  const Circuit c = circuits::build_by_name("b09_like");
-  const auto kernel = compile_kernel(c);
-  const FanoutCones cones(c);
-  CompiledKernel::ConeSubProgram sp;
-  for (std::size_t ff = 0; ff < cones.num_ffs(); ++ff) {
-    kernel->build_subprogram(cones.cone(ff), sp);
-    ASSERT_EQ(sp.global_of_local.size(), sp.arena_slots);
-    for (std::uint32_t local = 0; local < sp.arena_slots; ++local) {
-      const std::uint32_t global = sp.global_of_local[local];
-      EXPECT_EQ(sp.local_of_slot[global], local);
-    }
-    std::uint32_t prev_dest = 0;
-    bool first = true;
-    for (const auto& in : sp.instrs) {
-      EXPECT_LT(in.dest, sp.arena_slots);
-      EXPECT_LT(in.a, sp.arena_slots);
-      EXPECT_LT(in.b, sp.arena_slots);
-      EXPECT_LT(in.c, sp.arena_slots);
-      if (!first) {
-        EXPECT_GT(in.dest, prev_dest) << "arena dests must ascend";
-      }
-      prev_dest = in.dest;
-      first = false;
-    }
-    // Loaded slots (boundary golden + cone DFF state) plus computed slots
-    // cover the arena exactly when no stray source reads exist.
-    EXPECT_EQ(sp.boundary_locals.size(), sp.boundary_slots.size());
-    EXPECT_EQ(sp.dff_q_locals.size(), sp.dff_indices.size());
-    EXPECT_EQ(sp.dff_d_locals.size(), sp.dff_indices.size());
-    EXPECT_EQ(sp.out_locals.size(), sp.out_indices.size());
-  }
-}
-
 // ---- campaign edge cases ---------------------------------------------------
 
-TEST(ConeCampaignEdgeTest, EmptyFaultList) {
+TEST(SeuCampaignEdgeTest, EmptyFaultList) {
   const Circuit c = circuits::build_by_name("b06_like");
   const Testbench tb = random_testbench(c.num_inputs(), 16, 3);
   for (const CampaignConfig& config :
-       {cone_config(), full_config(), interp_config()}) {
+       {compiled_config(), interp_config()}) {
     ParallelFaultSimulator sim(c, tb, config);
     const CampaignResult result = sim.run({});
     EXPECT_EQ(result.size(), 0u);
@@ -235,7 +94,28 @@ TEST(ConeCampaignEdgeTest, EmptyFaultList) {
   }
 }
 
-TEST(ConeCampaignEdgeTest, AllFaultsAtLastTestbenchCycle) {
+TEST(SeuCampaignEdgeTest, InterpretedDefaultConfigIgnoresLanes) {
+  // The default config asks for 512 lanes; the interpreted oracle has one
+  // width (64) and must accept the default rather than reject it, and grade
+  // exactly like the compiled default.
+  const Circuit c = circuits::build_by_name("b06_like");
+  const Testbench tb = random_testbench(c.num_inputs(), 24, 4);
+  const auto faults = complete_fault_list(c.num_dffs(), tb.num_cycles());
+  CampaignConfig interp_default;
+  interp_default.backend = SimBackend::kInterpreted;
+  ASSERT_EQ(interp_default.lanes, LaneWidth::k512);
+  ParallelFaultSimulator interp(c, tb, interp_default);
+  ParallelFaultSimulator compiled(c, tb);
+  expect_same_outcomes(compiled.run(faults), interp.run(faults),
+                       "interpreted-default");
+  EXPECT_EQ(interp.last_run_group_widths().g512, 0u);
+  EXPECT_EQ(interp.last_run_group_widths().g64,
+            (faults.size() + 63) / 64);
+  EXPECT_EQ(compiled.last_run_group_widths().g512,
+            (faults.size() + 511) / 512);
+}
+
+TEST(SeuCampaignEdgeTest, AllFaultsAtLastTestbenchCycle) {
   // Injection at the final cycle: one eval/step, then the testbench ends —
   // exercises the "no tail after injection" classification (failure at the
   // last outputs, silent only if state re-converges immediately, else
@@ -249,7 +129,7 @@ TEST(ConeCampaignEdgeTest, AllFaultsAtLastTestbenchCycle) {
   cross_check(c, tb, faults, "last-cycle");
 }
 
-TEST(ConeCampaignEdgeTest, DuplicateFaultsInOneGroup) {
+TEST(SeuCampaignEdgeTest, DuplicateFaultsInOneGroup) {
   // The same (ff, cycle) several times in one lane group: lanes are
   // independent bit positions, so duplicates must grade identically.
   const Circuit c = circuits::build_by_name("b06_like");
@@ -261,7 +141,7 @@ TEST(ConeCampaignEdgeTest, DuplicateFaultsInOneGroup) {
     faults.push_back({1, 7});
   }
   cross_check(c, tb, faults, "duplicates");
-  ParallelFaultSimulator sim(c, tb, cone_config());
+  ParallelFaultSimulator sim(c, tb, compiled_config());
   const CampaignResult result = sim.run(faults);
   for (std::size_t i = 3; i < faults.size(); ++i) {
     EXPECT_EQ(result.outcomes()[i], result.outcomes()[i % 3])
@@ -269,7 +149,7 @@ TEST(ConeCampaignEdgeTest, DuplicateFaultsInOneGroup) {
   }
 }
 
-TEST(ConeCampaignEdgeTest, FastForwardLandsOnFinalCycle) {
+TEST(SeuCampaignEdgeTest, FastForwardLandsOnFinalCycle) {
   // Two injection waves: the first classifies quickly (every FF flipped at
   // cycle 1), then the group fast-forwards straight to the final cycle —
   // the jump target is num_cycles - 1, so the loop increment lands exactly
@@ -284,7 +164,7 @@ TEST(ConeCampaignEdgeTest, FastForwardLandsOnFinalCycle) {
   cross_check(c, tb, faults, "fast-forward-to-end");
 }
 
-TEST(ConeCampaignEdgeTest, ShuffledCallerOrderStillAlignsOutcomes) {
+TEST(SeuCampaignEdgeTest, ShuffledCallerOrderStillAlignsOutcomes) {
   // The scheduler permutes internally; outcomes must scatter back to the
   // caller's (shuffled) order for every schedule.
   circuits::RandomCircuitSpec spec;
@@ -302,10 +182,10 @@ TEST(ConeCampaignEdgeTest, ShuffledCallerOrderStillAlignsOutcomes) {
 
 // ---- cross-validation at scale ---------------------------------------------
 
-class ConeCampaignAgreement : public ::testing::TestWithParam<std::uint64_t> {
+class SeuCampaignAgreement : public ::testing::TestWithParam<std::uint64_t> {
 };
 
-TEST_P(ConeCampaignAgreement, RandomCircuitCompleteCampaign) {
+TEST_P(SeuCampaignAgreement, RandomCircuitCompleteCampaign) {
   circuits::RandomCircuitSpec spec;
   spec.num_inputs = 6;
   spec.num_outputs = 5;
@@ -317,42 +197,25 @@ TEST_P(ConeCampaignAgreement, RandomCircuitCompleteCampaign) {
   cross_check(c, tb, faults, "complete-campaign");
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, ConeCampaignAgreement,
+INSTANTIATE_TEST_SUITE_P(Seeds, SeuCampaignAgreement,
                          ::testing::Range<std::uint64_t>(0, 5));
 
-// ---- threaded determinism with the cone engine ----------------------------
+// ---- threaded determinism ------------------------------------------------
 
-TEST(ConeCampaignShardingTest, ThreadedIdenticalToSingleThreaded) {
+TEST(SeuCampaignShardingTest, ThreadedIdenticalToSingleThreaded) {
   const Circuit c = circuits::build_by_name("b06_like");
   const Testbench tb = random_testbench(c.num_inputs(), 40, 5);
   const auto faults = complete_fault_list(c.num_dffs(), tb.num_cycles());
 
-  ParallelFaultSimulator single(c, tb, cone_config(LaneWidth::k64, 1));
+  ParallelFaultSimulator single(c, tb, compiled_config(1));
   const CampaignResult base = single.run(faults);
 
   for (const unsigned threads : {2u, 4u, 7u}) {
-    ParallelFaultSimulator sharded(c, tb,
-                                   cone_config(LaneWidth::k64, threads));
-    expect_same_outcomes(base, sharded.run(faults), "threaded-cone");
+    ParallelFaultSimulator sharded(c, tb, compiled_config(threads));
+    expect_same_outcomes(base, sharded.run(faults), "threaded");
     EXPECT_EQ(single.last_run_eval_cycles(), sharded.last_run_eval_cycles());
     EXPECT_EQ(single.last_run_eval_instrs(), sharded.last_run_eval_instrs());
-    EXPECT_EQ(single.last_run_narrowings(), sharded.last_run_narrowings());
   }
-}
-
-TEST(ConeCampaignTest, ConeRestrictionReducesExecutedInstructions) {
-  const Circuit c = circuits::build_by_name("b09_like");
-  const Testbench tb = random_testbench(c.num_inputs(), 48, 17);
-  const auto faults = complete_fault_list(c.num_dffs(), tb.num_cycles());
-
-  ParallelFaultSimulator full(c, tb, full_config());
-  ParallelFaultSimulator cone(c, tb, cone_config());
-  const CampaignResult a = full.run(faults);
-  const CampaignResult b = cone.run(faults);
-  expect_same_outcomes(a, b, "instr-reduction");
-  EXPECT_LT(cone.last_run_eval_instrs(), full.last_run_eval_instrs());
-  EXPECT_NE(cone.cones(), nullptr);
-  EXPECT_EQ(full.cones(), nullptr);
 }
 
 }  // namespace

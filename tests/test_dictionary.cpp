@@ -133,28 +133,6 @@ TEST(Dictionary, CompiledSignaturesMatchSerialBuild) {
   }
 }
 
-TEST(Dictionary, ConeRestrictedSignaturesMatchFullEval) {
-  // The cone path reconstructs full-width syndromes from the narrowed
-  // arena (non-cone outputs are provably golden); the hash must agree with
-  // full-eval capture exactly.
-  const Circuit c = random_circuit(22);
-  const Testbench tb = random_testbench(c.num_inputs(), 64, 23);
-  const auto faults = complete_fault_list(c.num_dffs(), 64);
-
-  CampaignConfig cone_cfg;
-  cone_cfg.cone_restricted = true;
-  CampaignConfig full_cfg;
-  full_cfg.cone_restricted = false;
-  const FaultDictionary with_cones =
-      FaultDictionary::build_compiled(c, tb, faults, cone_cfg);
-  const FaultDictionary without =
-      FaultDictionary::build_compiled(c, tb, faults, full_cfg);
-  ASSERT_EQ(with_cones.num_entries(), without.num_entries());
-  for (const Fault& f : faults) {
-    EXPECT_EQ(with_cones.signature_of(f), without.signature_of(f));
-  }
-}
-
 // ---- serialization ---------------------------------------------------------
 
 TEST(Dictionary, SaveLoadRoundTrip) {

@@ -10,10 +10,12 @@
 
 #include <algorithm>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "circuits/generators.h"
 #include "circuits/registry.h"
+#include "engine_matrix.h"
 #include "fault/fault_list.h"
 #include "fault/mbu.h"
 #include "fault/parallel_faultsim.h"
@@ -245,15 +247,6 @@ TEST(KernelOptTest, RegistryCircuitsShrinkAndStayEquivalent) {
 
 // ---- campaign bit-identity (tier1: random circuits) ------------------------
 
-CampaignConfig campaign_config(bool optimize_on, LaneWidth lanes,
-                               bool cone, unsigned threads) {
-  CampaignConfig config{SimBackend::kCompiled, lanes, threads, cone,
-                        cone ? CampaignSchedule::kConeAffine
-                             : CampaignSchedule::kAsGiven};
-  config.optimize = optimize_on;
-  return config;
-}
-
 /// Grades all four models opt-on and opt-off under one engine configuration
 /// and requires bit-identical per-fault outcomes (and, opt-on, a recorded
 /// reduction).
@@ -262,17 +255,14 @@ void expect_campaign_bit_identity(const Circuit& circuit, const Testbench& tb,
                                   std::span<const MbuFault> mbu,
                                   std::span<const SetFault> set,
                                   std::span<const StuckAtFault> stuckat,
-                                  LaneWidth lanes, bool cone,
-                                  unsigned threads) {
-  ParallelFaultSimulator on(circuit, tb,
-                            campaign_config(true, lanes, cone, threads));
-  ParallelFaultSimulator off(circuit, tb,
-                             campaign_config(false, lanes, cone, threads));
-  const char* label = cone ? "cone" : "full";
+                                  const CampaignConfig& config) {
+  CampaignConfig off_config = config;
+  off_config.optimize = false;
+  ParallelFaultSimulator on(circuit, tb, config);
+  ParallelFaultSimulator off(circuit, tb, off_config);
+  const std::string label = engine_label(config);
 
-  EXPECT_EQ(on.run(seu).outcomes(), off.run(seu).outcomes())
-      << "seu " << label << " lanes=" << lane_count(lanes)
-      << " threads=" << threads;
+  EXPECT_EQ(on.run(seu).outcomes(), off.run(seu).outcomes()) << "seu " << label;
   EXPECT_GT(on.telemetry_snapshot().opt_raw_instrs, 0u);
   EXPECT_EQ(off.telemetry_snapshot().opt_raw_instrs, 0u);
 
@@ -298,16 +288,9 @@ TEST(KernelOptCampaignTest, AllModelsBitIdenticalOnRandomCircuits) {
     const auto set =
         complete_set_fault_list(sites, cycles, /*collapsed=*/true);
     const auto stuckat = complete_stuckat_fault_list(sites);
-    for (const LaneWidth lanes : {LaneWidth::k64, LaneWidth::k256}) {
-      for (const bool cone : {false, true}) {
-        expect_campaign_bit_identity(c, tb, seu, mbu, set, stuckat, lanes,
-                                     cone, /*threads=*/1);
-      }
+    for (const CampaignConfig& config : compiled_engine_matrix()) {
+      expect_campaign_bit_identity(c, tb, seu, mbu, set, stuckat, config);
     }
-    // Sharded: same invariant with a worker pool.
-    expect_campaign_bit_identity(c, tb, seu, mbu, set, stuckat,
-                                 LaneWidth::k64, /*cone=*/true,
-                                 /*threads=*/4);
   }
 }
 
@@ -323,10 +306,11 @@ TEST(KernelOptCampaignTest, SiteKernelCacheReusesSupersets) {
   ASSERT_GT(all.size(), 8u);
   const std::vector<StuckAtFault> subset(all.begin(), all.begin() + 8);
 
-  ParallelFaultSimulator on(c, tb, campaign_config(true, LaneWidth::k64,
-                                                   /*cone=*/true, 1));
-  ParallelFaultSimulator off(c, tb, campaign_config(false, LaneWidth::k64,
-                                                    /*cone=*/true, 1));
+  CampaignConfig on_config{SimBackend::kCompiled, LaneWidth::k64, 1};
+  CampaignConfig off_config = on_config;
+  off_config.optimize = false;
+  ParallelFaultSimulator on(c, tb, on_config);
+  ParallelFaultSimulator off(c, tb, off_config);
   EXPECT_EQ(on.run_stuckat(all).outcomes, off.run_stuckat(all).outcomes);
   const auto stats_full = on.telemetry_snapshot();
   EXPECT_EQ(on.run_stuckat(subset).outcomes, off.run_stuckat(subset).outcomes);
@@ -359,12 +343,10 @@ TEST(KernelOptCampaignTest, S27BenchFixtureGradesIdenticallyOptOnAndOff) {
   const SetSites sites(c);
   const auto seu = complete_fault_list(c.num_dffs(), cycles);
   const auto stuckat = complete_stuckat_fault_list(sites);
-  for (const bool cone : {false, true}) {
-    expect_campaign_bit_identity(
-        c, tb, seu, adjacent_pair_fault_list(c.num_dffs(), cycles),
-        complete_set_fault_list(sites, cycles, /*collapsed=*/true), stuckat,
-        LaneWidth::k64, cone, /*threads=*/1);
-  }
+  expect_campaign_bit_identity(
+      c, tb, seu, adjacent_pair_fault_list(c.num_dffs(), cycles),
+      complete_set_fault_list(sites, cycles, /*collapsed=*/true), stuckat,
+      {SimBackend::kCompiled, LaneWidth::k64, 1});
 }
 
 // ---- b14 (*Slow* suite) ----------------------------------------------------
@@ -379,34 +361,9 @@ TEST(KernelOptSlowTest, B14AllModelsBitIdenticalAcrossTiersAndThreads) {
                                              1500, 13);
   const auto set = sample_set_fault_list(sites, cycles, 1500, 13);
   const auto stuckat = complete_stuckat_fault_list(sites);
-  for (const LaneWidth lanes :
-       {LaneWidth::k64, LaneWidth::k256, LaneWidth::k512}) {
-    expect_campaign_bit_identity(c, tb, seu, mbu, set, stuckat, lanes,
-                                 /*cone=*/true, /*threads=*/1);
+  for (const CampaignConfig& config : compiled_engine_matrix()) {
+    expect_campaign_bit_identity(c, tb, seu, mbu, set, stuckat, config);
   }
-  expect_campaign_bit_identity(c, tb, seu, mbu, set, stuckat,
-                               LaneWidth::k512, /*cone=*/true,
-                               /*threads=*/4);
-  expect_campaign_bit_identity(c, tb, seu, mbu, set, stuckat,
-                               LaneWidth::k512, /*cone=*/false,
-                               /*threads=*/1);
-}
-
-TEST(KernelOptSlowTest, B14AdaptiveWidthPolicyBitIdentical) {
-  const Circuit c = circuits::build_by_name("b14");
-  const std::size_t cycles = 96;
-  const Testbench tb = random_testbench(c.num_inputs(), cycles, 2005);
-  const auto seu = sample_fault_list(c.num_dffs(), cycles, 2500, 31);
-  CampaignConfig cfg_on =
-      campaign_config(true, LaneWidth::k512, /*cone=*/true, 2);
-  cfg_on.width_policy = WidthPolicy::kAdaptive;
-  CampaignConfig cfg_off = cfg_on;
-  cfg_off.optimize = false;
-  ParallelFaultSimulator on(c, tb, cfg_on);
-  ParallelFaultSimulator off(c, tb, cfg_off);
-  EXPECT_EQ(on.run(seu).outcomes(), off.run(seu).outcomes());
-  const auto& t = on.telemetry_snapshot();
-  EXPECT_GT(t.opt_raw_instrs, t.opt_instrs);
 }
 
 }  // namespace

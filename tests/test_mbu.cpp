@@ -9,6 +9,7 @@
 #include "circuits/small.h"
 #include "common/error.h"
 #include "core/mbu_emulation.h"
+#include "engine_matrix.h"
 #include "fault/fault_list.h"
 #include "fault/parallel_faultsim.h"
 #include "harden/tmr.h"
@@ -208,9 +209,9 @@ TEST(MbuEmulationTest, RankingInvertsOnB14ShapedCampaigns) {
 }
 
 TEST(MbuUnifiedEngineTest, MatchesDedicatedMbuSimulatorEverywhere) {
-  // ParallelFaultSimulator::run_mbu (the unified sharded/scheduled/cone
-  // engine) must reproduce the dedicated interpreted MbuFaultSimulator
-  // per-fault, for every backend, lane width, schedule and thread count.
+  // ParallelFaultSimulator::run_mbu (the unified sharded/scheduled engine)
+  // must reproduce the dedicated interpreted MbuFaultSimulator per-fault,
+  // for every backend, lane width and thread count.
   circuits::RandomCircuitSpec spec;
   spec.num_inputs = 5;
   spec.num_outputs = 4;
@@ -236,18 +237,9 @@ TEST(MbuUnifiedEngineTest, MatchesDedicatedMbuSimulatorEverywhere) {
           << label << " MBU @" << i << " (cycle " << faults[i].cycle << ")";
     }
   };
-  check({SimBackend::kInterpreted, LaneWidth::k64, 1, false,
-         CampaignSchedule::kAsGiven},
-        "interpreted");
-  for (const LaneWidth lanes : {LaneWidth::k64, LaneWidth::k256}) {
-    for (const bool cone : {false, true}) {
-      for (const unsigned threads : {1u, 4u}) {
-        check({SimBackend::kCompiled, lanes, threads, cone,
-               cone ? CampaignSchedule::kConeAffine
-                    : CampaignSchedule::kCycleMajor},
-              cone ? "compiled-cone" : "compiled-full");
-      }
-    }
+  check({SimBackend::kInterpreted, LaneWidth::k64, 1}, "interpreted");
+  for (const CampaignConfig& config : compiled_engine_matrix()) {
+    check(config, engine_label(config).c_str());
   }
 }
 

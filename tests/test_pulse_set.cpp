@@ -1,8 +1,8 @@
 // Pulse-width / latching-window SET modeling: the discretised pulse-width
 // attribute on SetFault, the deterministic per-FF setup-window draw
-// (set_pulse_latches), the per-destination-DFF latch thinning in both the
-// full-eval and cone-restricted engines (cross-validated against the
-// serial reference at every lane width, cone policy and thread count), and
+// (set_pulse_latches), the per-destination-DFF latch thinning in the
+// compiled engine (cross-validated against the serial reference at every
+// lane width and thread count), and
 // the statistical contract that latching probability tracks the pulse-width
 // fraction.
 
@@ -13,21 +13,13 @@
 
 #include "circuits/generators.h"
 #include "circuits/registry.h"
+#include "engine_matrix.h"
 #include "fault/parallel_faultsim.h"
 #include "fault/set_model.h"
 #include "stim/generate.h"
 
 namespace femu {
 namespace {
-
-CampaignConfig pulse_cone_config(LaneWidth lanes, unsigned threads,
-                                 ConePolicy policy) {
-  CampaignConfig config{SimBackend::kCompiled, lanes, threads,
-                       /*cone_restricted=*/true,
-                       CampaignSchedule::kConeAffine};
-  config.cone_policy = policy;
-  return config;
-}
 
 void expect_same_outcomes(const SetCampaignResult& a,
                           const SetCampaignResult& b, const char* label) {
@@ -41,29 +33,15 @@ void expect_same_outcomes(const SetCampaignResult& a,
   }
 }
 
-// Serial reference vs every compiled engine configuration: {64, 256, 512}
-// lanes x {eager, on-demand} cones x {1, 4} threads (cone-affine), plus the
-// full-eval path per lane width.
+// Serial reference vs every compiled engine configuration.
 void pulse_cross_check(const Circuit& circuit, const Testbench& tb,
                        std::span<const SetFault> faults, const char* label) {
   SerialSetSimulator serial(circuit, tb);
   const SetCampaignResult ref = serial.run(faults);
-
-  for (const LaneWidth lanes :
-       {LaneWidth::k64, LaneWidth::k256, LaneWidth::k512}) {
-    ParallelFaultSimulator full(
-        circuit, tb,
-        CampaignConfig{SimBackend::kCompiled, lanes, 1,
-                       /*cone_restricted=*/false, CampaignSchedule::kAsGiven});
-    expect_same_outcomes(ref, full.run_set(faults), label);
-    for (const ConePolicy policy :
-         {ConePolicy::kEager, ConePolicy::kOnDemand}) {
-      for (const unsigned threads : {1u, 4u}) {
-        ParallelFaultSimulator cone(
-            circuit, tb, pulse_cone_config(lanes, threads, policy));
-        expect_same_outcomes(ref, cone.run_set(faults), label);
-      }
-    }
+  for (const CampaignConfig& config : compiled_engine_matrix()) {
+    SCOPED_TRACE(engine_label(config));
+    ParallelFaultSimulator sim(circuit, tb, config);
+    expect_same_outcomes(ref, sim.run_set(faults), label);
   }
 }
 
@@ -166,8 +144,7 @@ TEST(PulseWidthTest, LatchingProbabilityMatchesWidthOnProbeCircuit) {
   const SetSites sites(c);
   ParallelFaultSimulator sim(
       c, tb,
-      CampaignConfig{SimBackend::kCompiled, LaneWidth::k256, 2,
-                     /*cone_restricted=*/true, CampaignSchedule::kConeAffine});
+      CampaignConfig{SimBackend::kCompiled, LaneWidth::k256, 2});
   for (const std::uint16_t q :
        {std::uint16_t{64}, std::uint16_t{128}, std::uint16_t{208}}) {
     const auto faults =

@@ -1,16 +1,14 @@
-// Large-generated-circuit campaigns — the memory-wall acceptance tests.
-// Before on-demand cone derivation and the anchor-rank orderings, a
-// 50k-gate circuit could not even construct its campaign (the eager cone
-// matrices and the quadratic greedy FF ordering both blow up); these tests
-// run complete SEU campaigns end-to-end, schedule construction included,
-// and require identical classifications across lane widths (64/256/512),
-// cone policies (eager vs on-demand) and thread counts (1 vs N).
+// Large-generated-circuit campaigns: complete and sampled SEU campaigns on
+// 50k-gate and 80k-node pipelines run end-to-end, schedule construction
+// included, and must classify identically across the engine matrix (lane
+// widths 64/256/512 x threads 1/4).
 //
 // Suites named *Slow* run under the `slow` ctest label.
 
 #include <gtest/gtest.h>
 
 #include "circuits/generators.h"
+#include "engine_matrix.h"
 #include "fault/fault_list.h"
 #include "fault/parallel_faultsim.h"
 #include "stim/generate.h"
@@ -18,49 +16,31 @@
 namespace femu {
 namespace {
 
-CampaignConfig scale_config(LaneWidth lanes, ConePolicy policy,
-                            unsigned threads) {
-  CampaignConfig config{SimBackend::kCompiled, lanes, threads,
-                        /*cone_restricted=*/true,
-                        CampaignSchedule::kConeAffine};
-  config.cone_policy = policy;
-  return config;
-}
-
 TEST(ScaleCampaignSlowTest, Pipeline50kGateCompleteSeuCampaign) {
   // 96x176 pipeline: 50,687 gates, 16,896 FFs, 67,760 nodes — the >=50k
   // gate acceptance circuit. Complete fault list over a short testbench;
-  // "complete" covers every FF at every cycle, so schedule construction
-  // must rank all 16,896 FFs (anchor order — the greedy would never
-  // finish) and the engine must derive cone unions for every block.
+  // "complete" covers every FF at every cycle.
   const Circuit c = circuits::build_pipeline(96, 176);
   ASSERT_GE(c.num_gates(), 50000u);
   const Testbench tb = random_testbench(c.num_inputs(), 4, 2026);
   const auto faults = complete_fault_list(c.num_dffs(), tb.num_cycles());
   ASSERT_GE(faults.size(), 50000u);
 
-  ParallelFaultSimulator base(
-      c, tb, scale_config(LaneWidth::k64, ConePolicy::kOnDemand, 1));
-  const CampaignResult ref = base.run(faults);
-  const ClassCounts want = ref.counts();
-  EXPECT_EQ(want.total(), faults.size());
-
-  const auto check = [&](LaneWidth lanes, ConePolicy policy,
-                         unsigned threads, const char* label) {
-    ParallelFaultSimulator sim(c, tb, scale_config(lanes, policy, threads));
+  ClassCounts want;
+  bool have_want = false;
+  for (const CampaignConfig& config : compiled_engine_matrix()) {
+    ParallelFaultSimulator sim(c, tb, config);
     const ClassCounts got = sim.run(faults).counts();
-    EXPECT_EQ(got.failure, want.failure) << label;
-    EXPECT_EQ(got.latent, want.latent) << label;
-    EXPECT_EQ(got.silent, want.silent) << label;
-  };
-  check(LaneWidth::k256, ConePolicy::kOnDemand, 1, "256/on-demand/1t");
-  check(LaneWidth::k512, ConePolicy::kOnDemand, 1, "512/on-demand/1t");
-  check(LaneWidth::k512, ConePolicy::kOnDemand, 4, "512/on-demand/4t");
-  check(LaneWidth::k64, ConePolicy::kOnDemand, 4, "64/on-demand/4t");
-  // Eager still works at this size thanks to the greedy cap falling back
-  // to the anchor ordering; it materializes the full per-FF cone matrix
-  // (~140 MB) to prove bit-identity of the two policies at scale.
-  check(LaneWidth::k64, ConePolicy::kEager, 1, "64/eager/1t");
+    if (!have_want) {
+      want = got;
+      have_want = true;
+      EXPECT_EQ(want.total(), faults.size());
+      continue;
+    }
+    EXPECT_EQ(got.failure, want.failure) << engine_label(config);
+    EXPECT_EQ(got.latent, want.latent) << engine_label(config);
+    EXPECT_EQ(got.silent, want.silent) << engine_label(config);
+  }
 }
 
 TEST(ScaleCampaignSlowTest, Pipeline100kNodeSampledCampaign) {
@@ -72,11 +52,11 @@ TEST(ScaleCampaignSlowTest, Pipeline100kNodeSampledCampaign) {
   const auto faults =
       sample_fault_list(c.num_dffs(), tb.num_cycles(), 8192, 29);
 
-  ParallelFaultSimulator base(
-      c, tb, scale_config(LaneWidth::k512, ConePolicy::kOnDemand, 1));
+  ParallelFaultSimulator base(c, tb,
+                              {SimBackend::kCompiled, LaneWidth::k512, 1});
   const CampaignResult ref = base.run(faults);
-  ParallelFaultSimulator threaded(
-      c, tb, scale_config(LaneWidth::k512, ConePolicy::kOnDemand, 4));
+  ParallelFaultSimulator threaded(c, tb,
+                                  {SimBackend::kCompiled, LaneWidth::k512, 4});
   const CampaignResult got = threaded.run(faults);
   ASSERT_EQ(ref.size(), got.size());
   for (std::size_t i = 0; i < ref.size(); ++i) {

@@ -1,5 +1,5 @@
 // Gate-level SET fault grading: site enumeration and fanout-free collapse,
-// per-gate cones, the kernel injection overlay, and the unified campaign
+// the kernel injection overlay, and the unified campaign
 // API — always cross-checked against the interpreted per-fault reference
 // simulator (SerialSetSimulator walks the Circuit graph; the engines run
 // the compiled kernel with the instruction-stream overlay).
@@ -17,25 +17,18 @@
 #include "circuits/generators.h"
 #include "common/error.h"
 #include "circuits/registry.h"
+#include "engine_matrix.h"
 #include "fault/fault_list.h"
 #include "fault/parallel_faultsim.h"
 #include "fault/set_model.h"
-#include "netlist/fanout_cones.h"
 #include "stim/generate.h"
 
 namespace femu {
 namespace {
 
-CampaignConfig set_cone_config(LaneWidth lanes = LaneWidth::k64,
-                               unsigned threads = 1) {
-  return {SimBackend::kCompiled, lanes, threads, /*cone_restricted=*/true,
-          CampaignSchedule::kConeAffine};
-}
-
-CampaignConfig set_full_config(LaneWidth lanes = LaneWidth::k64,
-                               unsigned threads = 1) {
-  return {SimBackend::kCompiled, lanes, threads, /*cone_restricted=*/false,
-          CampaignSchedule::kAsGiven};
+CampaignConfig set_config(LaneWidth lanes = LaneWidth::k512,
+                          unsigned threads = 1) {
+  return {SimBackend::kCompiled, lanes, threads};
 }
 
 void expect_same_set_outcomes(const SetCampaignResult& a,
@@ -50,26 +43,16 @@ void expect_same_set_outcomes(const SetCampaignResult& a,
 }
 
 // Grades `faults` under the interpreted per-fault reference and every
-// compiled engine configuration (full vs cone, 64 vs 256 lanes, cycle-major
-// and cone-affine schedules, 1 and several threads) and requires identical
-// per-fault outcomes in caller order.
+// compiled engine configuration and requires identical per-fault outcomes
+// in caller order.
 void set_cross_check(const Circuit& circuit, const Testbench& tb,
                      std::span<const SetFault> faults, const char* label) {
   SerialSetSimulator serial(circuit, tb);
   const SetCampaignResult ref = serial.run(faults);
-
-  for (const LaneWidth lanes : {LaneWidth::k64, LaneWidth::k256}) {
-    ParallelFaultSimulator full(circuit, tb, set_full_config(lanes));
-    expect_same_set_outcomes(ref, full.run_set(faults), label);
-    for (const CampaignSchedule schedule :
-         {CampaignSchedule::kCycleMajor, CampaignSchedule::kConeAffine}) {
-      for (const unsigned threads : {1u, 4u}) {
-        CampaignConfig config = set_cone_config(lanes, threads);
-        config.schedule = schedule;
-        ParallelFaultSimulator cone(circuit, tb, config);
-        expect_same_set_outcomes(ref, cone.run_set(faults), label);
-      }
-    }
+  for (const CampaignConfig& config : compiled_engine_matrix()) {
+    SCOPED_TRACE(engine_label(config));
+    ParallelFaultSimulator sim(circuit, tb, config);
+    expect_same_set_outcomes(ref, sim.run_set(faults), label);
   }
 }
 
@@ -177,7 +160,7 @@ TEST(SetSitesTest, ExpansionMatchesUncollapsedCampaign) {
   const Testbench tb = random_testbench(spec.num_inputs, 16, 32);
   const SetSites sites(c);
 
-  ParallelFaultSimulator sim(c, tb, set_cone_config());
+  ParallelFaultSimulator sim(c, tb, set_config());
   const auto rep_faults = complete_set_fault_list(sites, tb.num_cycles());
   const SetCampaignResult expanded =
       expand_collapsed_result(sites, sim.run_set(rep_faults));
@@ -201,35 +184,6 @@ TEST(SetSitesTest, ExpansionMatchesUncollapsedCampaign) {
   EXPECT_EQ(expanded.counts.failure, full.counts.failure);
   EXPECT_EQ(expanded.counts.latent, full.counts.latent);
   EXPECT_EQ(expanded.counts.silent, full.counts.silent);
-}
-
-// ---- per-gate cones --------------------------------------------------------
-
-TEST(GateConesTest, SiteIsMemberAndFfConesStayInside) {
-  circuits::RandomCircuitSpec spec;
-  spec.num_inputs = 5;
-  spec.num_outputs = 4;
-  spec.num_dffs = 12;
-  spec.num_gates = 140;
-  const Circuit c = circuits::build_random(spec, 11);
-  const FanoutCones ff_cones(c);
-  const GateCones gates(c, ff_cones);
-  ASSERT_EQ(gates.num_sites(), c.num_gates());
-  for (std::size_t s = 0; s < gates.num_sites(); ++s) {
-    const auto cone = gates.cone(s);
-    EXPECT_TRUE(FanoutCones::test(cone, gates.sites()[s]));
-    // Closure: any FF whose Q node lies inside the gate cone contributes
-    // its whole (closed) FF cone — the invariant the narrowing logic and
-    // the overlay engine rely on.
-    for (std::size_t ff = 0; ff < c.num_dffs(); ++ff) {
-      if (!FanoutCones::test(cone, c.dffs()[ff])) continue;
-      const auto fc = ff_cones.cone(ff);
-      for (std::size_t w = 0; w < gates.words_per_cone(); ++w) {
-        EXPECT_EQ(fc[w] & ~cone[w], 0u)
-            << "FF cone " << ff << " escapes gate cone " << s;
-      }
-    }
-  }
 }
 
 // ---- edge cases ------------------------------------------------------------
@@ -257,7 +211,7 @@ TEST(SetCampaignEdgeTest, DeadGateAndMaskedGateAreSilent) {
   }
   ASSERT_NE(dead_gate, kInvalidNode);
 
-  ParallelFaultSimulator sim(c, tb, set_cone_config());
+  ParallelFaultSimulator sim(c, tb, set_config());
   const SetCampaignResult result = sim.run_set(faults);
   for (std::size_t i = 0; i < result.faults.size(); ++i) {
     if (result.faults[i].node != dead_gate &&
@@ -288,7 +242,7 @@ TEST(SetCampaignEdgeTest, LastCycleSets) {
 TEST(SetCampaignEdgeTest, EmptyAndShuffled) {
   const Circuit c = circuits::build_by_name("b06_like");
   const Testbench tb = random_testbench(c.num_inputs(), 20, 9);
-  ParallelFaultSimulator sim(c, tb, set_cone_config());
+  ParallelFaultSimulator sim(c, tb, set_config());
   EXPECT_EQ(sim.run_set({}).counts.total(), 0u);
 
   const SetSites sites(c);
@@ -328,7 +282,7 @@ TEST(UnifiedCampaignTest, OneConfigDrivesAllThreeModels) {
   // suites; this pins the API contract.)
   const Circuit c = circuits::build_by_name("b06_like");
   const Testbench tb = random_testbench(c.num_inputs(), 24, 17);
-  ParallelFaultSimulator sim(c, tb, set_cone_config(LaneWidth::k64, 2));
+  ParallelFaultSimulator sim(c, tb, set_config(LaneWidth::k64, 2));
 
   const auto seu = sim.run(complete_fault_list(c.num_dffs(), 8));
   EXPECT_EQ(seu.counts().total(), c.num_dffs() * 8);
@@ -345,8 +299,7 @@ TEST(UnifiedCampaignTest, OneConfigDrivesAllThreeModels) {
 TEST(UnifiedCampaignTest, SetRequiresCompiledBackend) {
   const Circuit c = circuits::build_by_name("b06_like");
   const Testbench tb = random_testbench(c.num_inputs(), 8, 1);
-  CampaignConfig config{SimBackend::kInterpreted, LaneWidth::k64, 1,
-                        /*cone_restricted=*/false, CampaignSchedule::kAsGiven};
+  CampaignConfig config{SimBackend::kInterpreted, LaneWidth::k64, 1};
   ParallelFaultSimulator sim(c, tb, config);
   const SetSites sites(c);
   const auto faults = complete_set_fault_list(sites, 4);
@@ -358,9 +311,8 @@ TEST(UnifiedCampaignTest, SetRequiresCompiledBackend) {
 TEST(SetCampaignSlowTest, B14SampledCampaignAgreesEverywhere) {
   // The acceptance cross-check: a sampled b14 SET campaign must produce
   // identical per-fault outcomes (hence identical classification counts)
-  // across the interpreted reference, compiled-64, compiled-256, full and
-  // cone-restricted evaluation, both non-trivial schedules and ≥2 thread
-  // counts.
+  // across the interpreted reference and every compiled lane width and
+  // thread count.
   const Circuit c = circuits::build_b14();
   const Testbench tb = random_testbench(c.num_inputs(), 80, 2005);
   const SetSites sites(c);
@@ -368,29 +320,22 @@ TEST(SetCampaignSlowTest, B14SampledCampaignAgreesEverywhere) {
   set_cross_check(c, tb, faults, "b14-sampled");
 }
 
-TEST(SetCampaignSlowTest, B14ThreadedDeterminismAndInstrReduction) {
+TEST(SetCampaignSlowTest, B14ThreadedDeterminism) {
   const Circuit c = circuits::build_b14();
   const Testbench tb = random_testbench(c.num_inputs(), 60, 2005);
   const SetSites sites(c);
   const auto faults =
       sample_set_fault_list(sites, tb.num_cycles(), 4000, 11);
 
-  ParallelFaultSimulator single(c, tb, set_cone_config(LaneWidth::k64, 1));
+  ParallelFaultSimulator single(c, tb, set_config(LaneWidth::k512, 1));
   const SetCampaignResult base = single.run_set(faults);
 
   for (const unsigned threads : {2u, 8u}) {
-    ParallelFaultSimulator sharded(c, tb,
-                                   set_cone_config(LaneWidth::k64, threads));
+    ParallelFaultSimulator sharded(c, tb, set_config(LaneWidth::k512, threads));
     expect_same_set_outcomes(base, sharded.run_set(faults), "threaded-set");
     EXPECT_EQ(single.last_run_eval_cycles(), sharded.last_run_eval_cycles());
     EXPECT_EQ(single.last_run_eval_instrs(), sharded.last_run_eval_instrs());
-    EXPECT_EQ(single.last_run_narrowings(), sharded.last_run_narrowings());
   }
-
-  ParallelFaultSimulator full(c, tb, set_full_config());
-  const SetCampaignResult full_result = full.run_set(faults);
-  expect_same_set_outcomes(base, full_result, "set-instr-reduction");
-  EXPECT_LT(single.last_run_eval_instrs(), full.last_run_eval_instrs());
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "circuits/generators.h"
+#include "engine_matrix.h"
 #include "fault/fault_list.h"
 #include "fault/journal.h"
 #include "fault/mbu.h"
@@ -36,11 +37,9 @@ Circuit medium_random_circuit(std::uint64_t seed = 7) {
   return circuits::build_random(spec, seed);
 }
 
-CampaignConfig cone_config(LaneWidth lanes, unsigned threads,
-                           obs::TelemetryCollector* telemetry = nullptr) {
-  CampaignConfig config{SimBackend::kCompiled, lanes, threads,
-                        /*cone_restricted=*/true,
-                        CampaignSchedule::kConeAffine};
+CampaignConfig engine_config(LaneWidth lanes, unsigned threads,
+                             obs::TelemetryCollector* telemetry = nullptr) {
+  CampaignConfig config{SimBackend::kCompiled, lanes, threads};
   config.telemetry = telemetry;
   return config;
 }
@@ -62,7 +61,6 @@ void expect_same_work_metrics(const ParallelFaultSimulator& a,
   EXPECT_EQ(a.last_run_eval_instrs(), b.last_run_eval_instrs()) << label;
   EXPECT_EQ(a.last_run_eval_slot_bytes(), b.last_run_eval_slot_bytes())
       << label;
-  EXPECT_EQ(a.last_run_narrowings(), b.last_run_narrowings()) << label;
   EXPECT_DOUBLE_EQ(a.last_run_lane_occupancy(), b.last_run_lane_occupancy())
       << label;
   EXPECT_EQ(a.last_run_group_widths().g64, b.last_run_group_widths().g64)
@@ -76,8 +74,8 @@ void expect_same_work_metrics(const ParallelFaultSimulator& a,
 // ---- outcome neutrality ----------------------------------------------------
 
 TEST(TelemetryCampaignTest, AttachingTelemetryIsOutcomeNeutralEverywhere) {
-  // All 4 fault models x {64, 512} lanes x {1, 4} threads: classifications
-  // AND deterministic work metrics must be bit-identical with and without a
+  // All 4 fault models x the engine matrix: classifications AND
+  // deterministic work metrics must be bit-identical with and without a
   // collector attached.
   const Circuit c = medium_random_circuit(13);
   const Testbench tb = random_testbench(c.num_inputs(), 36, 17);
@@ -87,12 +85,14 @@ TEST(TelemetryCampaignTest, AttachingTelemetryIsOutcomeNeutralEverywhere) {
   const auto set = sample_set_fault_list(sites, tb.num_cycles(), 300, 29);
   const auto stuck = complete_stuckat_fault_list(sites);
 
-  for (const LaneWidth lanes : {LaneWidth::k64, LaneWidth::k512}) {
-    for (const unsigned threads : {1u, 4u}) {
+  for (const CampaignConfig& base : compiled_engine_matrix()) {
+    SCOPED_TRACE(engine_label(base));
+    {
       obs::TelemetryCollector collector;
-      ParallelFaultSimulator off(c, tb, cone_config(lanes, threads));
-      ParallelFaultSimulator on(c, tb,
-                                cone_config(lanes, threads, &collector));
+      CampaignConfig with = base;
+      with.telemetry = &collector;
+      ParallelFaultSimulator off(c, tb, base);
+      ParallelFaultSimulator on(c, tb, with);
 
       expect_same_outcomes(off.run(seu).outcomes(), on.run(seu).outcomes(),
                            "seu");
@@ -134,8 +134,8 @@ TEST(TelemetryCampaignTest, MergedMetricsBitIdenticalOneVsFourThreads) {
 
   obs::TelemetryCollector one;
   obs::TelemetryCollector four;
-  ParallelFaultSimulator sim1(c, tb, cone_config(LaneWidth::k64, 1, &one));
-  ParallelFaultSimulator sim4(c, tb, cone_config(LaneWidth::k64, 4, &four));
+  ParallelFaultSimulator sim1(c, tb, engine_config(LaneWidth::k64, 1, &one));
+  ParallelFaultSimulator sim4(c, tb, engine_config(LaneWidth::k64, 4, &four));
   expect_same_outcomes(sim1.run(faults).outcomes(),
                        sim4.run(faults).outcomes(), "1t-vs-4t");
 
@@ -150,8 +150,8 @@ TEST(TelemetryCampaignTest, MergedMetricsBitIdenticalOneVsFourThreads) {
   for (std::size_t i = 0; i < a.gauges.size(); ++i) {
     EXPECT_EQ(a.gauges[i], b.gauges[i]) << gauge_names[i];
   }
-  // Histograms of deterministic observations (width, occupancy, narrowing
-  // depth) merge bit-identically; wall-clock histograms (*_ns) only promise
+  // Histograms of deterministic observations (width, occupancy) merge
+  // bit-identically; wall-clock histograms (*_ns) only promise
   // a deterministic sample count.
   const auto hist_names = one.registry().histogram_names();
   for (std::size_t i = 0; i < a.histograms.size(); ++i) {
@@ -174,7 +174,7 @@ TEST(TelemetryCampaignTest, TraceJsonWellFormedWithPerWorkerTracks) {
   const auto faults = complete_fault_list(c.num_dffs(), tb.num_cycles());
 
   obs::TelemetryCollector collector;
-  ParallelFaultSimulator sim(c, tb, cone_config(LaneWidth::k64, 4,
+  ParallelFaultSimulator sim(c, tb, engine_config(LaneWidth::k64, 4,
                                                 &collector));
   (void)sim.run(faults);
 
@@ -205,7 +205,7 @@ TEST(TelemetryCampaignTest, TraceJsonWellFormedWithPerWorkerTracks) {
   }
   // The construction + run phases all land on the campaign track.
   for (const char* phase :
-       {"compile", "golden_trace", "cone_build", "plan", "grade"}) {
+       {"compile", "golden_trace", "plan", "grade"}) {
     EXPECT_TRUE(campaign_names.contains(phase)) << phase;
   }
   // Every retired group became exactly one slice, on some worker track —
@@ -244,7 +244,7 @@ TEST(TelemetryCampaignTest, JournaledCampaignRecordsFlushLatency) {
   std::remove(path.c_str());
 
   obs::TelemetryCollector collector;
-  CampaignConfig config = cone_config(LaneWidth::k64, 2, &collector);
+  CampaignConfig config = engine_config(LaneWidth::k64, 2, &collector);
   ParallelFaultSimulator sim(c, tb, config);
   const JournaledCampaignReport rep =
       run_journaled_seu_campaign(sim, faults, path, /*resume=*/false);
@@ -289,7 +289,7 @@ TEST(TelemetryCampaignTest, ProgressReporterCountsRetirements) {
   const Testbench tb = random_testbench(c.num_inputs(), 24, 9);
   const auto faults =
       sample_fault_list(c.num_dffs(), tb.num_cycles(), 200, 31);
-  ParallelFaultSimulator sim(c, tb, cone_config(LaneWidth::k64, 2,
+  ParallelFaultSimulator sim(c, tb, engine_config(LaneWidth::k64, 2,
                                                 &collector));
   (void)sim.run(faults);
   EXPECT_EQ(collector.progress()->retired(), faults.size());

@@ -12,6 +12,7 @@
 #include "circuits/b14.h"
 #include "circuits/generators.h"
 #include "circuits/registry.h"
+#include "engine_matrix.h"
 #include "fault/fault_list.h"
 #include "fault/parallel_faultsim.h"
 #include "fault/set_model.h"
@@ -23,11 +24,8 @@ namespace {
 
 using T512 = LaneTraits<Word512>;
 
-CampaignConfig config_of(LaneWidth lanes, bool cone, unsigned threads = 1,
-                         CampaignSchedule schedule =
-                             CampaignSchedule::kConeAffine) {
-  return {SimBackend::kCompiled, lanes, threads, cone,
-          cone ? schedule : CampaignSchedule::kAsGiven};
+CampaignConfig config_of(LaneWidth lanes) {
+  return {SimBackend::kCompiled, lanes, 1};
 }
 
 // ---- lane traits -----------------------------------------------------------
@@ -105,20 +103,13 @@ void expect_same_outcomes(const CampaignResult& a, const CampaignResult& b,
 void seu_cross_check_512(const Circuit& c, const Testbench& tb,
                          std::span<const Fault> faults, const char* label) {
   ParallelFaultSimulator interp(
-      c, tb,
-      {SimBackend::kInterpreted, LaneWidth::k64, 1, false,
-       CampaignSchedule::kAsGiven});
+      c, tb, {SimBackend::kInterpreted, LaneWidth::k64, 1});
   const CampaignResult ref = interp.run(faults);
-  for (const bool cone : {false, true}) {
-    for (const unsigned threads : {1u, 3u}) {
-      ParallelFaultSimulator sim512(c, tb,
-                                    config_of(LaneWidth::k512, cone, threads));
-      expect_same_outcomes(ref, sim512.run(faults), label);
-    }
+  for (const CampaignConfig& config : compiled_engine_matrix()) {
+    SCOPED_TRACE(engine_label(config));
+    ParallelFaultSimulator sim(c, tb, config);
+    expect_same_outcomes(ref, sim.run(faults), label);
   }
-  // 512 vs 256 with identical schedules, for instr-level comparability.
-  ParallelFaultSimulator sim256(c, tb, config_of(LaneWidth::k256, true));
-  expect_same_outcomes(ref, sim256.run(faults), label);
 }
 
 class Word512Agreement : public ::testing::TestWithParam<std::uint64_t> {};
@@ -163,15 +154,13 @@ TEST(Word512Test, MbuMatches64Lanes) {
   const Testbench tb = random_testbench(spec.num_inputs, 28, 6);
   const auto faults = adjacent_pair_fault_list(c.num_dffs(), tb.num_cycles());
 
-  ParallelFaultSimulator sim64(c, tb, config_of(LaneWidth::k64, true));
+  ParallelFaultSimulator sim64(c, tb, config_of(LaneWidth::k64));
   const MbuCampaignResult ref = sim64.run_mbu(faults);
-  for (const bool cone : {false, true}) {
-    ParallelFaultSimulator sim512(c, tb, config_of(LaneWidth::k512, cone));
-    const MbuCampaignResult got = sim512.run_mbu(faults);
-    ASSERT_EQ(ref.outcomes.size(), got.outcomes.size());
-    for (std::size_t i = 0; i < ref.outcomes.size(); ++i) {
-      ASSERT_EQ(ref.outcomes[i], got.outcomes[i]) << "mbu fault @" << i;
-    }
+  ParallelFaultSimulator sim512(c, tb, config_of(LaneWidth::k512));
+  const MbuCampaignResult got = sim512.run_mbu(faults);
+  ASSERT_EQ(ref.outcomes.size(), got.outcomes.size());
+  for (std::size_t i = 0; i < ref.outcomes.size(); ++i) {
+    ASSERT_EQ(ref.outcomes[i], got.outcomes[i]) << "mbu fault @" << i;
   }
 }
 
@@ -182,17 +171,15 @@ void set_cross_check_512(const Circuit& c, const Testbench& tb,
                          const char* label) {
   SerialSetSimulator serial(c, tb);
   const SetCampaignResult ref = serial.run(faults);
-  for (const bool cone : {false, true}) {
-    for (const unsigned threads : {1u, 3u}) {
-      ParallelFaultSimulator sim512(c, tb,
-                                    config_of(LaneWidth::k512, cone, threads));
-      const SetCampaignResult got = sim512.run_set(faults);
-      ASSERT_EQ(ref.outcomes.size(), got.outcomes.size()) << label;
-      for (std::size_t i = 0; i < ref.outcomes.size(); ++i) {
-        ASSERT_EQ(ref.outcomes[i], got.outcomes[i])
-            << label << " fault (node=" << ref.faults[i].node
-            << ", c=" << ref.faults[i].cycle << ")";
-      }
+  for (const CampaignConfig& config : compiled_engine_matrix()) {
+    SCOPED_TRACE(engine_label(config));
+    ParallelFaultSimulator sim(c, tb, config);
+    const SetCampaignResult got = sim.run_set(faults);
+    ASSERT_EQ(ref.outcomes.size(), got.outcomes.size()) << label;
+    for (std::size_t i = 0; i < ref.outcomes.size(); ++i) {
+      ASSERT_EQ(ref.outcomes[i], got.outcomes[i])
+          << label << " fault (node=" << ref.faults[i].node
+          << ", c=" << ref.faults[i].cycle << ")";
     }
   }
 }
@@ -231,8 +218,8 @@ TEST(Word512SlowTest, B14SampledMbuMatches64Lanes) {
   const auto faults = random_cluster_fault_list(
       c.num_dffs(), tb.num_cycles(), /*cluster_size=*/2, /*window=*/4, 1500,
       19);
-  ParallelFaultSimulator sim64(c, tb, config_of(LaneWidth::k64, true));
-  ParallelFaultSimulator sim512(c, tb, config_of(LaneWidth::k512, true));
+  ParallelFaultSimulator sim64(c, tb, config_of(LaneWidth::k64));
+  ParallelFaultSimulator sim512(c, tb, config_of(LaneWidth::k512));
   const MbuCampaignResult ref = sim64.run_mbu(faults);
   const MbuCampaignResult got = sim512.run_mbu(faults);
   ASSERT_EQ(ref.outcomes.size(), got.outcomes.size());
