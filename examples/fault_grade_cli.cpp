@@ -67,10 +67,10 @@
 //                --json ("cache") and --metrics-out (artifact_cache_*)
 //     --journal PATH
 //                SEU only: run the campaign through the crash-safe journal
-//                (fault/journal.h). Retired groups stream to PATH as they
-//                finish, so a killed campaign leaves a resumable file; the
+//                (fault/journal.h). Graded faults stream to PATH in
+//                batches of at most one lane width, so a killed campaign leaves a resumable file; the
 //                failure-signature dictionary is written to PATH.dict
-//     --resume   with --journal: replay the journal's retired groups and
+//     --resume   with --journal: replay the journal's retired batches and
 //                grade only the remainder — bit-identical to an
 //                uninterrupted run. An invalid or mismatched journal
 //                degrades to a warned full re-run
@@ -87,11 +87,11 @@
 //                so it composes with --json
 //     --trace-out FILE
 //                write a Chrome trace-event JSON of the campaign to FILE:
-//                one track per worker with one slice per retired lane group
-//                (args: width, live lanes, occupancy %, instructions), a
+//                one track per worker with one slice per retire batch
+//                (args: width, faults, occupancy %, instructions), a
 //                campaign track with the serial phases (compile, golden
 //                trace, plan, grade, ...), and
-//                a journal track with per-group flush spans. Open in
+//                a journal track with per-batch flush spans. Open in
 //                Perfetto (ui.perfetto.dev) or chrome://tracing
 //     --metrics-out FILE
 //                write the merged campaign metrics (counters, gauges,
@@ -100,8 +100,9 @@
 //                count (worker-id-ordered reduction)
 //     --json     machine-readable grading JSON on stdout instead of tables
 //                (includes the model's descriptor name, the engine work
-//                metrics — lane_occupancy, eval_bytes_per_instr, the chosen
-//                per-tier group counts — and, for SET, the pulse parameters)
+//                metrics — lane_occupancy, lane_cycle_occupancy,
+//                eval_bytes_per_instr, the per-tier group counts — and, for
+//                SET, the pulse parameters)
 //
 // The SEU model prints the grading with 95% confidence intervals and the
 // emulation-time account per technique, and writes the per-fault dictionary
@@ -176,6 +177,7 @@ std::string engine_metrics_json(const ParallelFaultSimulator& sim) {
   const auto& widths = sim.last_run_group_widths();
   const obs::CampaignTelemetry& t = sim.telemetry_snapshot();
   return str_cat(", \"lane_occupancy\": ", sim.last_run_lane_occupancy(),
+                 ", \"lane_cycle_occupancy\": ", t.lane_cycle_occupancy,
                  ", \"eval_bytes_per_instr\": ",
                  sim.last_run_eval_bytes_per_instr(),
                  ", \"group_widths\": {\"64\": ", widths.g64,

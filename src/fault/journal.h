@@ -156,7 +156,7 @@ struct JournalContents {
 /// is given, one group record carrying everything already known — via a
 /// temp file and rename, so an interrupted rewrite can never clobber a
 /// valid journal. After that, append() adds one checksummed record per
-/// retired group and flushes; it is thread-safe (the engine's retire
+/// retire batch and flushes; it is thread-safe (the engine's retire
 /// callback runs on worker threads).
 class CampaignJournalWriter {
  public:
@@ -208,7 +208,7 @@ struct JournaledCampaignReport {
 /// Runs (or resumes) a journaled SEU campaign.
 ///
 /// With `resume` set and a journal at `journal_path` whose fingerprint and
-/// every record checksum validate, the retired groups are replayed from
+/// every record checksum validate, the retired faults are replayed from
 /// disk and only the remainder is simulated — bit-identical to an
 /// uninterrupted run for any thread count, because per-fault outcomes are
 /// independent of grouping (the engine's standing invariance). A missing
@@ -216,9 +216,9 @@ struct JournaledCampaignReport {
 /// fingerprint-mismatched one degrades to a warned full re-run — never a
 /// crash, never a silently wrong merge. Either way the journal at
 /// `journal_path` is atomically rewritten up front and then appended to as
-/// groups retire, so a SIGKILL at any point leaves a resumable file.
+/// batches retire, so a SIGKILL at any point leaves a resumable file.
 ///
-/// `observer`, when set, is called after each group's journal append with
+/// `observer`, when set, is called after each batch's journal append with
 /// the same caller-order indices/outcomes/signatures — the streaming hook
 /// for progress reporting (and for the kill-and-resume test to slow the
 /// campaign down deterministically).
@@ -257,7 +257,7 @@ struct RegradeReport {
 ///
 /// When `new_journal_path` is non-empty, a journal for the new revision is
 /// written there (atomically seeded with the reused prefix, then appended
-/// per retired group — crash-safe like run_journaled_seu_campaign); it may
+/// per retire batch — crash-safe like run_journaled_seu_campaign); it may
 /// equal `old_journal_path`.
 [[nodiscard]] RegradeReport regrade_from_journal(
     ParallelFaultSimulator& new_sim, std::span<const Fault> faults,

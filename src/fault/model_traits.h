@@ -272,13 +272,13 @@ struct FaultModelTraits<FaultModel::kStuckAt> {
   return OverlayOp::kNone;
 }
 
-/// One lane group of a model's faults, normalized for the generic group
-/// runner: lane k carries faults[k]. Answers, per lane, when the fault
-/// enters (cycle) and how it enters (inject / overlay_entry) — by
-/// delegation to the model's FaultModelTraits, so the group runner is
-/// written once against this view and specializes per model purely through
-/// `if constexpr` on the descriptor flags (SEU/MBU codegen carries no
-/// overlay or thinning code at all).
+/// A campaign's scheduled faults, normalized for the generic pool runner:
+/// fault i runs in whichever lane the runner assigns it. Answers, per
+/// fault, when it enters (cycle) and how it enters its lane (inject /
+/// overlay_entry) — by delegation to the model's FaultModelTraits, so the
+/// pool runner is written once against this view and specializes per model
+/// purely through `if constexpr` on the descriptor flags (SEU/MBU codegen
+/// carries no overlay or thinning code at all).
 template <typename Traits>
 struct ModelView {
   using FaultT = typename Traits::FaultT;
@@ -295,17 +295,14 @@ struct ModelView {
     return Traits::cycle(faults[i]);
   }
   template <typename Engine>
-  void inject(Engine& engine, unsigned lane) const {
-    Traits::inject(engine, faults[lane], lane);
-  }
-  [[nodiscard]] std::uint32_t overlay_node(std::size_t i) const {
-    return Traits::overlay_node(faults[i]);
+  void inject(Engine& engine, std::size_t i, unsigned lane) const {
+    Traits::inject(engine, faults[i], lane);
   }
   template <typename Word>
   [[nodiscard]] CompiledKernel::OverlayEntry<Word> overlay_entry(
-      std::size_t i, std::uint32_t dest) const {
-    return Traits::template overlay_entry<Word>(faults[i], dest,
-                                                static_cast<unsigned>(i));
+      std::size_t i, unsigned lane) const {
+    return Traits::template overlay_entry<Word>(
+        faults[i], Traits::overlay_node(faults[i]), lane);
   }
   [[nodiscard]] bool lane_thins(std::size_t i) const {
     return Traits::lane_thins(faults[i]);

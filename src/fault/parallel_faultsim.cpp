@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdio>
 #include <numeric>
 #include <thread>
@@ -23,22 +24,9 @@ namespace {
 // The engine core below is model-agnostic: every model-specific question —
 // injection mechanism, overlay op and cadence, schedule key, retirement
 // rule — is answered by the FaultModelTraits descriptor through a ModelView
-// (fault/model_traits.h). The group runner specializes per model purely via
+// (fault/model_traits.h). The pool runner specializes per model purely via
 // `if constexpr` on the view's flags, so SEU/MBU instantiations carry no
 // overlay, thinning or every-cycle code at all.
-
-/// Selects the lane-width-matching overlay vector out of the per-worker
-/// scratch (Scratch is deduced — WorkerScratch is private).
-template <typename Word, typename Scratch>
-[[nodiscard]] auto& overlay_in(Scratch& scratch) {
-  if constexpr (std::is_same_v<Word, Word512>) {
-    return scratch.overlay512;
-  } else if constexpr (std::is_same_v<Word, Word256>) {
-    return scratch.overlay256;
-  } else {
-    return scratch.overlay64;
-  }
-}
 
 /// Sorts an overlay by dest slot and composes entries landing on the same
 /// gate (several lanes faulting the same site this cycle — possibly with
@@ -62,8 +50,9 @@ void finalize_overlay(std::vector<CompiledKernel::OverlayEntry<Word>>& ov) {
 
 /// Cycle-major schedule permutation: perm[i] is the caller index of the
 /// i-th fault in engine order, sorted stably by the packed (cycle, site)
-/// key. Groups then span minimal injection-cycle ranges, start late and
-/// fast-forward far. Counting-sorted when the key space is dense (the
+/// key, so each pool injects its faults in cycle order and every group
+/// spans a minimal injection-cycle range. Counting-sorted when the key
+/// space is dense (the
 /// complete-campaign case), comparison-sorted otherwise.
 template <typename KeyOf>
 [[nodiscard]] std::vector<std::uint32_t> cycle_major_perm(
@@ -98,17 +87,61 @@ template <typename KeyOf>
   return perm;
 }
 
-/// Sorts a group's lane indices by injection cycle into `order`: injections
-/// then advance a cursor instead of rescanning all lanes per cycle, and the
-/// cursor's head is the next injection cycle the fast-forward path jumps to.
-template <typename View>
-void sort_group_order(const View& view, std::vector<std::uint32_t>& order) {
-  order.resize(view.size());
-  std::iota(order.begin(), order.end(), 0u);
-  std::sort(order.begin(), order.end(), [&](std::uint32_t x, std::uint32_t y) {
-    return view.cycle(x) < view.cycle(y);
-  });
+/// Pool sizing: the G lane-width groups of a run are dealt round-robin to
+/// min(G, max(kMinPools, ⌈G / kGroupsPerPool⌉)) lane-refilling pools. The
+/// count depends only on the fault list, so every work counter is identical
+/// for any thread count. Each pool runs to the end of the testbench once it
+/// holds a latent fault, so total work grows with P (b14 complete SEU:
+/// 5618 eval cycles at P = 4, 7856 at 8, 15176 at P = G) while at most P
+/// workers run; kMinPools = 4 favours total work over wider hosts. See
+/// DESIGN.md, "Pool count".
+constexpr std::size_t kMinPools = 4;
+constexpr std::size_t kGroupsPerPool = 32;
+
+[[nodiscard]] std::size_t pool_count(std::size_t num_groups) {
+  const std::size_t by_size =
+      (num_groups + kGroupsPerPool - 1) / kGroupsPerPool;
+  return std::min(num_groups, std::max(kMinPools, by_size));
 }
+
+/// Calls f(lane) for every set lane of `w`, lowest first.
+template <typename Word, typename F>
+void for_each_lane(const Word& w, F&& f) {
+  if constexpr (std::is_same_v<Word, std::uint64_t>) {
+    for (std::uint64_t bits = w; bits != 0; bits &= bits - 1) {
+      f(static_cast<unsigned>(std::countr_zero(bits)));
+    }
+  } else {
+    for (std::size_t limb = 0; limb < w.w.size(); ++limb) {
+      for (std::uint64_t bits = w.w[limb]; bits != 0; bits &= bits - 1) {
+        f(static_cast<unsigned>(limb * 64 + std::countr_zero(bits)));
+      }
+    }
+  }
+}
+
+/// One lane word's worth of faulty machines inside a pool: a DFF-state
+/// vector (swapped into the worker's engine for its evals) and the fault
+/// each lane carries.
+template <typename Word>
+struct LaneBank {
+  std::vector<Word> state;                ///< one lane word per DFF
+  std::vector<std::uint32_t> lane_fault;  ///< lane -> scheduled fault index
+  Word live = LaneTraits<Word>::zero();   ///< lanes carrying an ungraded fault
+  /// Free lanes retired as failures: their state still diverges from
+  /// golden. Silent lanes converged, so they track golden already.
+  Word dirty = LaneTraits<Word>::zero();
+  /// Lanes to re-broadcast from golden state(t) when the bank is next
+  /// swapped in, before this cycle's injections.
+  Word reset = LaneTraits<Word>::zero();
+  /// The cycle `state` belongs to (none for a new bank); a bank skipped for
+  /// having no live lanes falls behind and is reset whole when it takes a
+  /// fault.
+  std::size_t cycle = ~std::size_t{0};
+  std::vector<unsigned> arrivals;  ///< lanes injected this cycle
+  /// Every-cycle models' persistent overlay, built when the bank fills.
+  std::vector<CompiledKernel::OverlayEntry<Word>> overlay;
+};
 
 }  // namespace
 
@@ -376,11 +409,12 @@ void ParallelFaultSimulator::run_model(
   for (const std::uint32_t idx : perm) scheduled.push_back(faults[idx]);
   std::vector<FaultOutcome> scheduled_outcomes(faults.size());
 
-  // Consecutive full-width groups of the scheduled list; only the last one
-  // may be partial.
+  // Consecutive full-width groups of the scheduled list (only the last one
+  // may be partial), dealt round-robin to the lane-refilling pools.
   const std::size_t n = faults.size();
   const std::size_t width = lane_count(lanes_);
   const std::size_t num_groups = (n + width - 1) / width;
+  const std::size_t num_pools = pool_count(num_groups);
   telem_.group_widths = {};
   switch (lanes_) {
     case LaneWidth::k64: telem_.group_widths.g64 = num_groups; break;
@@ -397,7 +431,7 @@ void ParallelFaultSimulator::run_model(
 
   // Failure-signature buffer in scheduled order (scattered back through the
   // permutation at the end, like the outcomes). Empty span = capture off —
-  // the group runner skips the syndrome work entirely.
+  // the pool runner skips the syndrome work entirely.
   std::vector<std::uint64_t> scheduled_sigs;
   if (capture_signatures_) {
     scheduled_sigs.assign(n, 0);
@@ -407,7 +441,7 @@ void ParallelFaultSimulator::run_model(
                          ? config_.num_threads
                          : std::max(1u, std::thread::hardware_concurrency());
   workers = static_cast<unsigned>(
-      std::min<std::size_t>(workers, std::max<std::size_t>(num_groups, 1)));
+      std::min<std::size_t>(workers, std::max<std::size_t>(num_pools, 1)));
   telem_.threads = workers;
   telem_.faults = n;
 
@@ -419,47 +453,70 @@ void ParallelFaultSimulator::run_model(
   }
   const std::uint64_t grade_begin_ns = collector != nullptr ? now_ns() : 0;
 
-  // Grades group g on one worker's engine, then streams its outcomes to the
-  // retire callback with caller-order indices (perm maps scheduled position
-  // -> caller position). The callback runs on the worker thread and is
-  // responsible for its own synchronization.
-  const auto run_one = [&](auto& engine, std::size_t g,
+  // Streams one retire batch (scheduled positions) to the telemetry slice
+  // and the retire callback, with caller-order indices (perm maps scheduled
+  // position -> caller position). The callback runs on the worker thread
+  // and is responsible for its own synchronization.
+  const auto retire_batch = [&](std::span<const std::uint32_t> batch,
+                                WorkerScratch& scratch) {
+    // Null telemetry is the fast path: no timestamps, no recording.
+    if (obs::WorkerTelemetry* const wt = scratch.telemetry) {
+      const std::uint64_t end_ns = now_ns();
+      wt->group_slice(scratch.batch_begin_ns, end_ns,
+                      static_cast<std::uint32_t>(width),
+                      static_cast<std::uint32_t>(batch.size()), 0,
+                      scratch.eval_instrs - scratch.batch_instrs0);
+      scratch.batch_begin_ns = end_ns;
+      scratch.batch_instrs0 = scratch.eval_instrs;
+    }
+    if (!retire_cb_) return;
+    scratch.cb_indices.clear();
+    scratch.cb_outcomes.clear();
+    scratch.cb_sigs.clear();
+    for (const std::uint32_t i : batch) {
+      scratch.cb_indices.push_back(perm[i]);
+      scratch.cb_outcomes.push_back(scheduled_outcomes[i]);
+      if (!scheduled_sigs.empty()) {
+        scratch.cb_sigs.push_back(scheduled_sigs[i]);
+      }
+    }
+    retire_cb_(scratch.cb_indices, scratch.cb_outcomes, scratch.cb_sigs);
+  };
+
+  // Grades pool p — groups p, p + P, p + 2P, ... of the scheduled list —
+  // on one worker's engine.
+  const View view{scheduled};
+  const auto run_one = [&](auto& engine, std::size_t p,
                            WorkerScratch& scratch) {
-    const std::size_t begin = g * width;
-    const std::size_t count = std::min(width, n - begin);
-    const std::span<FaultOutcome> group_outcomes =
-        std::span<FaultOutcome>(scheduled_outcomes).subspan(begin, count);
-    const std::span<std::uint64_t> group_sigs =
-        scheduled_sigs.empty()
-            ? std::span<std::uint64_t>{}
-            : std::span<std::uint64_t>(scheduled_sigs).subspan(begin, count);
-    // Null telemetry is the fast path: no timestamps, no recording — the
-    // only per-group cost is this pointer test.
-    obs::WorkerTelemetry* const wt = scratch.telemetry;
-    std::uint64_t begin_ns = 0, instrs0 = 0;
-    if (wt != nullptr) {
-      begin_ns = now_ns();
-      instrs0 = scratch.eval_instrs;
+    scratch.pool.clear();
+    for (std::size_t g = p; g < num_groups; g += num_pools) {
+      for (std::size_t i = g * width; i < std::min(n, (g + 1) * width); ++i) {
+        scratch.pool.push_back(static_cast<std::uint32_t>(i));
+      }
     }
-    run_group(engine,
-              View{std::span<const FaultT>(scheduled).subspan(begin, count)},
-              group_outcomes, group_sigs, scratch);
-    if (wt != nullptr) {
-      wt->group_slice(begin_ns, now_ns(), static_cast<std::uint32_t>(width),
-                      static_cast<std::uint32_t>(count), 0,
-                      scratch.eval_instrs - instrs0);
+    if (scratch.telemetry != nullptr) {
+      scratch.batch_begin_ns = now_ns();
+      scratch.batch_instrs0 = scratch.eval_instrs;
     }
-    if (retire_cb_) {
-      std::vector<std::uint32_t> indices(perm.begin() + begin,
-                                         perm.begin() + begin + count);
-      retire_cb_(indices, group_outcomes, group_sigs);
+    // Permanent faults all enter at cycle 0, so no later arrival ever takes
+    // a freed lane: a pool's groups run one after another, at the same eval
+    // cycles, on one bank instead of one per group.
+    const std::span<const std::uint32_t> pool(scratch.pool);
+    const std::size_t pass = View::kOverlayEveryCycle ? width : pool.size();
+    for (std::size_t b = 0; b < pool.size(); b += pass) {
+      run_pool(engine, view, pool.subspan(b, std::min(pass, pool.size() - b)),
+               scheduled_outcomes, scheduled_sigs,
+               [&](std::span<const std::uint32_t> batch) {
+                 retire_batch(batch, scratch);
+               },
+               scratch);
     }
   };
 
   if (kernel_ != nullptr) {
     const auto shard = [&]<typename Word>() {
       run_sharded([this] { return LaneEngine<Word>(run_kernel_); }, run_one,
-                  num_groups, workers);
+                  num_pools, workers);
     };
     switch (lanes_) {
       case LaneWidth::k64: shard.template operator()<std::uint64_t>(); break;
@@ -471,11 +528,17 @@ void ParallelFaultSimulator::run_model(
     // the overlay-model check above rejects that configuration up front.
     run_sharded(
         [this] { return ParallelSimulator(circuit_, SimBackend::kInterpreted); },
-        run_one, num_groups, workers);
+        run_one, num_pools, workers);
   }
+  const std::uint64_t lane_cycles = telem_.eval_cycles * width;
+  telem_.lane_cycle_occupancy =
+      lane_cycles != 0 ? static_cast<double>(telem_.live_lane_cycles) /
+                             static_cast<double>(lane_cycles)
+                       : 1.0;
 
   if (collector != nullptr) {
     collector->record_campaign_span("grade", grade_begin_ns, now_ns());
+    collector->record_lane_cycles(telem_.live_lane_cycles, lane_cycles);
     collector->end_run();
   }
 
@@ -494,27 +557,28 @@ void ParallelFaultSimulator::run_model(
 template <typename MakeEngine, typename RunOne>
 void ParallelFaultSimulator::run_sharded(const MakeEngine& make_engine,
                                          const RunOne& run_one,
-                                         std::size_t num_groups,
+                                         std::size_t num_pools,
                                          unsigned num_workers) {
-  // Work-stealing pool: each worker owns one engine and one scratch (sharing
-  // the read-only kernel and golden trace) and pulls group indices from an
-  // atomic counter. Each group writes a disjoint outcome slice, so the
+  // Work-stealing: each worker owns one engine and one scratch (sharing the
+  // read-only kernel and golden trace) and pulls pool indices from an
+  // atomic counter. Each pool writes a disjoint set of outcome slots, so the
   // result is identical for any worker count or scheduling order. The
   // calling thread is worker 0; one worker runs inline without spawning.
-  std::atomic<std::size_t> next_group{0};
+  std::atomic<std::size_t> next_pool{0};
   std::atomic<std::uint64_t> total_eval_cycles{0};
   std::atomic<std::uint64_t> total_eval_instrs{0};
   std::atomic<std::uint64_t> total_eval_slot_bytes{0};
+  std::atomic<std::uint64_t> total_live_lane_cycles{0};
   const auto worker = [&](unsigned worker_id) {
     auto engine = make_engine();
     WorkerScratch scratch;
     if (config_.telemetry != nullptr) {
       scratch.telemetry = &config_.telemetry->worker(worker_id);
     }
-    for (std::size_t g = next_group.fetch_add(1, std::memory_order_relaxed);
-         g < num_groups;
-         g = next_group.fetch_add(1, std::memory_order_relaxed)) {
-      run_one(engine, g, scratch);
+    for (std::size_t p = next_pool.fetch_add(1, std::memory_order_relaxed);
+         p < num_pools;
+         p = next_pool.fetch_add(1, std::memory_order_relaxed)) {
+      run_one(engine, p, scratch);
     }
     total_eval_cycles.fetch_add(scratch.eval_cycles,
                                 std::memory_order_relaxed);
@@ -522,186 +586,249 @@ void ParallelFaultSimulator::run_sharded(const MakeEngine& make_engine,
                                 std::memory_order_relaxed);
     total_eval_slot_bytes.fetch_add(scratch.eval_slot_bytes,
                                     std::memory_order_relaxed);
+    total_live_lane_cycles.fetch_add(scratch.live_lane_cycles,
+                                     std::memory_order_relaxed);
   };
 
-  std::vector<std::thread> pool;
-  pool.reserve(num_workers - 1);
+  std::vector<std::thread> threads;
+  threads.reserve(num_workers - 1);
   for (unsigned i = 1; i < num_workers; ++i) {
-    pool.emplace_back(worker, i);
+    threads.emplace_back(worker, i);
   }
   worker(0);
-  for (auto& t : pool) {
+  for (auto& t : threads) {
     t.join();
   }
   telem_.eval_cycles = total_eval_cycles.load();
   telem_.eval_instrs = total_eval_instrs.load();
   telem_.eval_slot_bytes = total_eval_slot_bytes.load();
+  telem_.live_lane_cycles = total_live_lane_cycles.load();
 }
 
-template <typename Engine, typename View>
-void ParallelFaultSimulator::run_group(Engine& engine, const View& view,
-                                       std::span<FaultOutcome> outcomes,
-                                       std::span<std::uint64_t> sigs,
-                                       WorkerScratch& scratch) const {
+template <typename Engine, typename View, typename OnRetire>
+void ParallelFaultSimulator::run_pool(Engine& engine, const View& view,
+                                      std::span<const std::uint32_t> pool,
+                                      std::span<FaultOutcome> outcomes,
+                                      std::span<std::uint64_t> sigs,
+                                      const OnRetire& on_retire,
+                                      WorkerScratch& scratch) const {
   using Word = std::remove_cvref_t<decltype(engine.node_word(0))>;
   using T = LaneTraits<Word>;
   const std::size_t num_cycles = testbench_.num_cycles();
   const std::size_t program_size =
       run_kernel_ ? run_kernel_->program().size() : circuit_.num_gates();
   const std::size_t slot_bytes = circuit_.node_count() * sizeof(Word);
-  const std::size_t group_size = view.size();
-  const Word group_mask = T::first_n(group_size);
+  const std::size_t width = T::kLanes;
+  if (pool.empty()) return;
 
-  sort_group_order(view, scratch.order);
-  const std::vector<std::uint32_t>& order = scratch.order;
-  std::size_t cursor = 0;
+  std::vector<LaneBank<Word>> banks;
+  [[maybe_unused]] std::vector<CompiledKernel::OverlayEntry<Word>> overlay;
+  std::vector<std::uint32_t> batch;
+  batch.reserve(width);
+  const auto retire = [&](std::uint32_t i, FaultOutcome outcome) {
+    outcomes[i] = outcome;
+    batch.push_back(i);
+    if (batch.size() == width) {
+      on_retire(std::span<const std::uint32_t>(batch));
+      batch.clear();
+    }
+  };
 
-  // Default: latent (overwritten on detection/convergence below).
-  for (auto& outcome : outcomes) {
-    outcome = FaultOutcome{FaultClass::kLatent, kNoCycle, kNoCycle};
+  if (num_cycles == 0) {
+    // Empty testbench (only stuck-at lists skip the cycle check): nothing
+    // evaluates, so every fault grades silent, as in the serial reference.
+    for (const std::uint32_t i : pool) {
+      retire(i, {FaultClass::kSilent, kNoCycle, kNoCycle});
+    }
+    if (!batch.empty()) on_retire(std::span<const std::uint32_t>(batch));
+    return;
   }
 
-  const std::uint32_t first_cycle = view.cycle(order.front());
-  engine.broadcast_state(golden_.states[first_cycle]);
-  Word injected = T::zero();
-  Word classified = T::zero();
-  [[maybe_unused]] auto& overlay = overlay_in<Word>(scratch);
-  if constexpr (View::kHasOverlay && View::kOverlayEveryCycle) {
-    // Permanent faults: one persistent overlay entry per lane, applied on
-    // every cycle's evaluation — built once per group.
-    overlay.clear();
-    for (std::size_t lane = 0; lane < group_size; ++lane) {
-      overlay.push_back(view.template overlay_entry<Word>(
-          lane, view.overlay_node(lane)));
+  std::size_t cursor = 0;  // next pool fault to inject
+  std::size_t arrivals_end = 0;
+  std::size_t t = view.cycle(pool.front());
+  // Assigns this cycle's pending arrivals to the free lanes of `bank`,
+  // silent (already golden) lanes before failure-retired ones. The lanes
+  // that must return to golden are reset when the bank is swapped in.
+  const auto fill = [&](LaneBank<Word>& bank) {
+    const Word free = ~bank.live;
+    if (cursor == arrivals_end || !T::any(free)) return;
+    if (bank.cycle != t) {
+      bank.reset = T::ones();
+      bank.dirty = T::zero();
+      bank.cycle = t;
     }
-    finalize_overlay(overlay);
-  }
-  // Final-state divergence for models without convergence retirement (their
-  // undetected lanes map to latent/silent after the loop).
-  [[maybe_unused]] Word final_differs = T::zero();
+    if (T::count(free & ~bank.dirty) < arrivals_end - cursor &&
+        T::any(bank.dirty)) {
+      bank.reset |= bank.dirty;
+      bank.dirty = T::zero();
+    }
+    for_each_lane(free & ~bank.dirty, [&](unsigned lane) {
+      if (cursor == arrivals_end) return;
+      const std::uint32_t i = pool[cursor++];
+      bank.lane_fault[lane] = i;
+      bank.live |= T::lane_bit(lane);
+      bank.arrivals.push_back(lane);
+      if constexpr (View::kOverlayEveryCycle) {
+        bank.overlay.push_back(view.template overlay_entry<Word>(i, lane));
+      }
+    });
+    if constexpr (View::kOverlayEveryCycle) {
+      finalize_overlay(bank.overlay);
+    }
+  };
 
-  for (std::size_t t = first_cycle; t < num_cycles; ++t) {
-    // Inject the lanes whose cycle has arrived. SEU/MBU flips happen in
-    // state(t), before cycle t evaluates — the upset hits the new state;
-    // an overlay model's lane instead contributes an overlay entry so the
-    // fault lands inline during this cycle's evaluation.
-    if constexpr (View::kHasOverlay && !View::kOverlayEveryCycle) {
-      overlay.clear();
+  for (;;) {
+    // Place the faults injected at t: free lanes of live banks first, then
+    // idle banks; a new bank opens only when every lane is busy.
+    while (arrivals_end < pool.size() && view.cycle(pool[arrivals_end]) == t) {
+      ++arrivals_end;
     }
-    [[maybe_unused]] bool thin_now = false;
-    [[maybe_unused]] const std::size_t inject_begin = cursor;
-    while (cursor < order.size() && view.cycle(order[cursor]) == t) {
-      const std::uint32_t lane = order[cursor];
-      view.inject(engine, lane);
+    for (auto& bank : banks) {
+      if (T::any(bank.live)) fill(bank);
+    }
+    for (auto& bank : banks) {
+      if (!T::any(bank.live)) fill(bank);
+    }
+    while (cursor < arrivals_end) {
+      auto& bank = banks.emplace_back();
+      if (banks.size() == 1) {
+        // The first bank borrows the engine's own state buffer (returned
+        // when the pool ends), so a pool costs no memory beyond its banks.
+        engine.swap_state(bank.state);
+      } else {
+        bank.state.resize(circuit_.num_dffs());
+      }
+      bank.lane_fault.resize(width);
+      fill(bank);
+    }
+
+    const bool last_cycle = t + 1 == num_cycles;
+    bool any_live = false;
+    for (auto& bank : banks) {
+      if (!T::any(bank.live)) continue;  // idle banks are skipped
+      engine.swap_state(bank.state);
+      if (T::any(bank.reset)) {
+        engine.blend_state(golden_.states[t], bank.reset);
+        bank.reset = T::zero();
+      }
+
+      // SEU/MBU flips happen in state(t), before cycle t evaluates — the
+      // upset hits the new state; an overlay model's lane instead
+      // contributes an overlay entry so the fault lands inline during this
+      // cycle's evaluation.
       if constexpr (View::kHasOverlay && !View::kOverlayEveryCycle) {
-        overlay.push_back(view.template overlay_entry<Word>(
-            lane, view.overlay_node(lane)));
+        overlay.clear();
       }
-      if constexpr (View::kLatchThinning) {
-        thin_now = thin_now || view.lane_thins(lane);
-      }
-      injected |= T::lane_bit(lane);
-      ++cursor;
-    }
-
-    const BitVec& inputs = testbench_.vectors()[t];
-    if constexpr (View::kHasOverlay) {
-      if constexpr (!View::kOverlayEveryCycle) {
-        finalize_overlay(overlay);
-      }
-      engine.eval_overlay(inputs, overlay);
-    } else {
-      engine.eval(inputs);
-    }
-    ++scratch.eval_cycles;
-    scratch.eval_instrs += program_size;
-    scratch.eval_slot_bytes += slot_bytes;
-
-    const Word mismatch = engine.output_mismatch_lanes(golden_.outputs[t]) &
-                          injected & ~classified;
-    if (T::any(mismatch)) {
-      for (std::size_t lane = 0; lane < group_size; ++lane) {
-        if (T::test(mismatch, static_cast<unsigned>(lane))) {
-          outcomes[lane].cls = FaultClass::kFailure;
-          outcomes[lane].detect_cycle = static_cast<std::uint32_t>(t);
-          if (!sigs.empty()) {
-            // Failure signature: faulty XOR golden outputs at the detect
-            // cycle (the serial dictionary's syndrome, same hash).
-            BitVec syndrome = engine.lane_outputs(static_cast<unsigned>(lane));
-            syndrome ^= golden_.outputs[t];
-            sigs[lane] = syndrome.hash();
-          }
+      [[maybe_unused]] bool thin_now = false;
+      for (const unsigned lane : bank.arrivals) {
+        const std::uint32_t i = bank.lane_fault[lane];
+        view.inject(engine, i, lane);
+        if constexpr (View::kHasOverlay && !View::kOverlayEveryCycle) {
+          overlay.push_back(view.template overlay_entry<Word>(i, lane));
+        }
+        if constexpr (View::kLatchThinning) {
+          thin_now = thin_now || view.lane_thins(i);
         }
       }
-      classified |= mismatch;
-    }
 
-    engine.step();
+      const BitVec& inputs = testbench_.vectors()[t];
+      if constexpr (View::kOverlayEveryCycle) {
+        engine.eval_overlay(inputs, bank.overlay);
+      } else if constexpr (View::kHasOverlay) {
+        finalize_overlay(overlay);
+        engine.eval_overlay(inputs, overlay);
+      } else {
+        engine.eval(inputs);
+      }
+      ++scratch.eval_cycles;
+      scratch.eval_instrs += program_size;
+      scratch.eval_slot_bytes += slot_bytes;
+      scratch.live_lane_cycles += T::count(bank.live);
 
-    const BitVec& next_state = golden_.states[t + 1];
-    if constexpr (View::kLatchThinning) {
-      // Latching-window thinning: a sub-full-width pulse misses some
-      // destination FFs' setup windows; those latch the golden next-state
-      // bit instead of the transient-disturbed D.
-      if (thin_now) {
-        for (std::size_t c = inject_begin; c < cursor; ++c) {
-          const std::uint32_t lane = order[c];
-          if (!view.lane_thins(lane)) continue;
-          for (std::uint32_t ff = 0; ff < next_state.size(); ++ff) {
-            if (!view.latches(lane, ff)) {
-              engine.force_state_lanes(ff, T::lane_bit(lane),
-                                       next_state.get(ff));
+      const Word failed =
+          engine.output_mismatch_lanes(golden_.outputs[t]) & bank.live;
+      for_each_lane(failed, [&](unsigned lane) {
+        const std::uint32_t i = bank.lane_fault[lane];
+        if (!sigs.empty()) {
+          // Failure signature: faulty XOR golden outputs at the detect
+          // cycle (the serial dictionary's syndrome, same hash).
+          BitVec syndrome = engine.lane_outputs(lane);
+          syndrome ^= golden_.outputs[t];
+          sigs[i] = syndrome.hash();
+        }
+        retire(i, {FaultClass::kFailure, static_cast<std::uint32_t>(t),
+                   kNoCycle});
+      });
+      bank.live &= ~failed;
+      bank.dirty |= failed;
+
+      engine.step();
+
+      const BitVec& next_state = golden_.states[t + 1];
+      if constexpr (View::kLatchThinning) {
+        // Latching-window thinning: a sub-full-width pulse misses some
+        // destination FFs' setup windows; those latch the golden next-state
+        // bit instead of the transient-disturbed D.
+        if (thin_now) {
+          for (const unsigned lane : bank.arrivals) {
+            const std::uint32_t i = bank.lane_fault[lane];
+            if (!view.lane_thins(i)) continue;
+            for (std::uint32_t ff = 0; ff < next_state.size(); ++ff) {
+              if (!view.latches(i, ff)) {
+                engine.force_state_lanes(ff, T::lane_bit(lane),
+                                         next_state.get(ff));
+              }
             }
           }
         }
       }
-    }
 
-    if constexpr (View::kRetireOnConvergence) {
-      const Word differs = engine.state_mismatch_lanes(next_state);
-      const Word converged = injected & ~classified & ~differs;
-      if (T::any(converged)) {
-        for (std::size_t lane = 0; lane < group_size; ++lane) {
-          if (T::test(converged, static_cast<unsigned>(lane))) {
-            outcomes[lane].cls = FaultClass::kSilent;
-            outcomes[lane].converge_cycle = static_cast<std::uint32_t>(t + 1);
-          }
+      if (View::kRetireOnConvergence || last_cycle) {
+        const Word differs = engine.state_mismatch_lanes(next_state);
+        if constexpr (View::kRetireOnConvergence) {
+          const Word converged = bank.live & ~differs;
+          for_each_lane(converged, [&](unsigned lane) {
+            retire(bank.lane_fault[lane],
+                   {FaultClass::kSilent, kNoCycle,
+                    static_cast<std::uint32_t>(t + 1)});
+          });
+          bank.live &= ~converged;
         }
-        classified |= converged;
+        if (last_cycle) {
+          // Lanes still live never showed an output deviation: latent when
+          // the final state differs from golden, silent when it does not
+          // (only a permanent fault, never convergence-retired, can be
+          // live and equal to golden here).
+          for_each_lane(bank.live, [&](unsigned lane) {
+            retire(bank.lane_fault[lane],
+                   {T::test(differs, lane) ? FaultClass::kLatent
+                                           : FaultClass::kSilent,
+                    kNoCycle, kNoCycle});
+          });
+          bank.live = T::zero();
+        }
       }
-    } else if (t + 1 == num_cycles) {
-      final_differs = engine.state_mismatch_lanes(next_state);
+
+      engine.swap_state(bank.state);
+      bank.cycle = t + 1;
+      bank.arrivals.clear();
+      any_live = any_live || T::any(bank.live);
     }
 
-    if (classified == group_mask) {
-      return;  // every lane graded — skip the testbench tail entirely
-    }
-
-    // Fast-forward: when every already-injected lane is graded, the pending
-    // lanes are bit-identical to the golden machine, so jump straight to the
-    // next injection cycle (the cursor head) from the golden state.
-    if (!T::any(injected & ~classified) && cursor < order.size()) {
-      const std::uint32_t next_cycle = view.cycle(order[cursor]);
-      if (next_cycle > t + 1) {
-        engine.broadcast_state(golden_.states[next_cycle]);
-        t = next_cycle - 1;  // loop increment lands on next_cycle
-      }
+    if (last_cycle) break;
+    if (any_live) {
+      ++t;
+    } else if (cursor < pool.size()) {
+      // Fast-forward: nothing is live, so jump straight to the next
+      // injection cycle; idle banks re-broadcast golden when they refill.
+      t = view.cycle(pool[cursor]);
+    } else {
+      break;
     }
   }
-  if constexpr (!View::kRetireOnConvergence) {
-    // Test-pattern mapping for undetected permanent faults: latent when the
-    // final state still differs from golden (excited but unobserved),
-    // silent when it does not. No converge_cycle — the fault never goes
-    // away.
-    const Word benign = group_mask & ~classified & ~final_differs;
-    for (std::size_t lane = 0; lane < group_size; ++lane) {
-      if (T::test(benign, static_cast<unsigned>(lane))) {
-        outcomes[lane].cls = FaultClass::kSilent;
-      }
-    }
-  }
-  // Remaining unclassified lanes stay latent (their final state differs and
-  // no output ever deviated).
+  engine.swap_state(banks.front().state);
+  if (!batch.empty()) on_retire(std::span<const std::uint32_t>(batch));
 }
 
 }  // namespace femu

@@ -19,7 +19,7 @@
 
 namespace femu {
 
-/// How many faulty machines one lane group carries.
+/// How many faulty machines one lane word carries.
 enum class LaneWidth : std::uint32_t {
   k64 = 64,    ///< one uint64_t per signal (classic bit-parallel width)
   k256 = 256,  ///< four uint64_t per signal — 4x faults per pass
@@ -41,9 +41,9 @@ enum class LaneWidth : std::uint32_t {
 /// runs 64 lanes and ignores `lanes`.
 struct CampaignConfig {
   SimBackend backend = SimBackend::kCompiled;
-  /// Lane width of every compiled lane group (ignored when interpreted).
+  /// Lane width of every compiled lane bank (ignored when interpreted).
   LaneWidth lanes = LaneWidth::k512;
-  /// Worker threads for group sharding; 0 = std::thread::hardware_concurrency().
+  /// Worker threads for pool sharding; 0 = std::thread::hardware_concurrency().
   unsigned num_threads = 0;
   /// Run campaigns on an optimizer-processed kernel (sim/kernel_opt.h):
   /// inverter/buffer absorption into per-operand complement flags, constant
@@ -58,8 +58,8 @@ struct CampaignConfig {
   bool optimize = true;
   /// Telemetry sink (not owned; must outlive the engine). Null — the
   /// default — is the near-zero-cost fast path: the engine takes no
-  /// per-group timestamps and records nothing. When attached, the engine
-  /// emits phase spans, per-group trace slices and per-worker metric
+  /// per-batch timestamps and records nothing. When attached, the engine
+  /// emits phase spans, per-retire-batch trace slices and per-worker metric
   /// shards into the collector. Telemetry is provably outcome-neutral:
   /// classifications, signatures and all `last_run_*` work metrics are
   /// bit-identical with a collector attached or not.
@@ -102,29 +102,40 @@ struct CampaignConfig {
 /// is one descriptor specialization plus a result-shaping entry point,
 /// never a new engine path.
 ///
-/// Faults are sorted cycle-major — by (injection cycle, site) — and
-/// processed in consecutive groups of lane-width size; lane k of every
-/// signal word carries faulty machine k. A lane whose injection cycle has
-/// not arrived yet simply tracks the golden machine (identical state +
-/// identical stimuli), so a group spanning several injection cycles needs
-/// no special casing: the group starts from the golden state at its
-/// earliest injection cycle and each lane is XOR-flipped when its cycle
-/// comes. Every cycle evaluates the whole program; golden stimuli, outputs
-/// and states are broadcast from the bit-packed GoldenTrace as they are
-/// read, so no per-cycle lane-word image is ever materialized.
+/// Faults are sorted cycle-major — by (injection cycle, site) — and cut
+/// into consecutive lane-width groups, which are dealt round-robin to
+/// P = min(G, max(4, ⌈G/32⌉)) *pools* (G groups). A pool is one lockstep
+/// pass over the testbench cycles. Its faulty machines live in *banks*: a
+/// bank is one lane word per DFF plus the fault each lane carries, and all
+/// of a worker's banks take turns on its engine's slot array through
+/// swap_state. Lane k of every signal word carries the bank's machine k.
+/// Every cycle evaluates the whole program; golden stimuli, outputs and
+/// states are broadcast from the bit-packed GoldenTrace as they are read,
+/// so no per-cycle lane-word image is ever materialized.
 ///
-/// Early retirement: a lane is done at its first output mismatch (failure) or
-/// state re-convergence (silent); when every injected lane of a group is
-/// done, the group fast-forwards to the next injection cycle by reloading the
-/// golden state (the next injection cycle comes from the group's pre-sorted
-/// schedule — O(1) per fast-forward).
+/// Lane refill: a lane is done at its first output mismatch (failure) or
+/// state re-convergence (silent), and its lane is free from the next cycle
+/// on. At cycle t, the faults injected at t take free lanes — in live banks
+/// first, then in idle ones — and a new bank opens from golden state(t)
+/// only when every lane is busy. A silent lane already equals golden, so it
+/// is preferred; failure lanes are reset to golden(t) with one masked
+/// blend_state when their bank swaps in. Banks with no live lane are
+/// skipped, and when no bank is live the pool fast-forwards to its next
+/// injection cycle. A pool's cost thus follows its faults' own lifetimes
+/// instead of each group's slowest fault. Stuck-at faults all enter at
+/// cycle 0, so their lanes never refill: a stuck-at pool runs its groups
+/// one after another on a single bank.
 ///
-/// Groups are independent — they share only the read-only kernel and the
-/// golden trace — so the campaign shards them across a pool of workers
-/// pulling group indices from an atomic counter. Every group writes its own
-/// outcome slice and the schedule permutation is inverted before returning,
-/// so results align with the caller's fault order and are bit-identical for
-/// any thread count, backend and lane width.
+/// Pools are independent — they share only the read-only kernel and the
+/// golden trace — so the campaign shards them across workers pulling pool
+/// indices from an atomic counter. P depends only on the fault list, every
+/// pool writes its own outcome slots and the schedule permutation is
+/// inverted before returning, so results align with the caller's fault
+/// order and outcomes and work counters are bit-identical for any thread
+/// count; outcomes are also identical across backend and lane width. At
+/// most P workers run, so a campaign of up to 128 groups (b14's complete
+/// SEU list is 68) uses at most 4 threads: fewer, longer pools trade
+/// parallelism for total work (DESIGN.md, "Pool count").
 class ParallelFaultSimulator {
  public:
   ParallelFaultSimulator(const Circuit& circuit, const Testbench& testbench,
@@ -170,17 +181,20 @@ class ParallelFaultSimulator {
     return testbench_;
   }
 
-  /// Streaming retire notification: called as each lane group finishes,
-  /// before the campaign completes — the hook the crash-safe campaign
-  /// journal (fault/journal.h) appends records through. `fault_indices`
-  /// are positions in the *caller's* fault list (the schedule permutation
-  /// is already inverted), `outcomes` the group's gradings in the same
-  /// order, and `signature_hashes` the failure syndromes (empty unless
-  /// signature capture is enabled; zero for non-failure lanes).
+  /// Streaming retire notification: called as faults are graded, before
+  /// the campaign completes — the hook the crash-safe campaign journal
+  /// (fault/journal.h) appends records through. `fault_indices` are
+  /// positions in the *caller's* fault list (the schedule permutation is
+  /// already inverted), `outcomes` their gradings in the same order, and
+  /// `signature_hashes` the failure syndromes (empty unless signature
+  /// capture is enabled; zero for non-failure faults).
   ///
-  /// Invoked from worker threads — one call per group, possibly
-  /// concurrently from several workers — so the callback must be
-  /// thread-safe. The spans are only valid during the call.
+  /// Each pool delivers its retirements in batches of exactly one lane
+  /// width as they fill, plus one smaller batch when the pool ends, so at
+  /// most one lane width of graded work per pool is unreported at any
+  /// time. Every fault arrives in exactly one batch. Invoked from worker
+  /// threads, possibly concurrently from several workers, so the callback
+  /// must be thread-safe. The spans are only valid during the call.
   using RetireCallback = std::function<void(
       std::span<const std::uint32_t> fault_indices,
       std::span<const FaultOutcome> outcomes,
@@ -231,16 +245,17 @@ class ParallelFaultSimulator {
     return telem_.seconds;
   }
 
-  /// Circuit-evaluation cycles spent in the last run, summed over all lane
-  /// groups (engine efficiency metric used by the microbenches). One eval of
-  /// a 512-lane group counts as one cycle, like one eval of a 64-lane group
-  /// (see last_run_eval_instrs for the finer metric).
+  /// Circuit-evaluation cycles spent in the last run: one per live bank
+  /// per testbench cycle, summed over all pools (engine efficiency metric
+  /// used by the microbenches). One eval of a 512-lane bank counts as one
+  /// cycle, like one eval of a 64-lane bank (see last_run_eval_instrs for
+  /// the finer metric). Idle banks and fast-forwarded cycles cost nothing.
   [[nodiscard]] std::uint64_t last_run_eval_cycles() const noexcept {
     return telem_.eval_cycles;
   }
 
-  /// Kernel instructions executed in the last run, summed over all lane
-  /// groups (eval cycles x executed program size).
+  /// Kernel instructions executed in the last run, summed over all pools
+  /// (eval cycles x executed program size).
   [[nodiscard]] std::uint64_t last_run_eval_instrs() const noexcept {
     return telem_.eval_instrs;
   }
@@ -259,59 +274,65 @@ class ParallelFaultSimulator {
     return telem_.bytes_per_instr();
   }
 
-  /// How many lane groups the last run executed at each width tier (see
-  /// obs::GroupWidthCounts). Only the run's lane width is non-zero.
+  /// How many lane-width groups the last run dealt to its pools, per width
+  /// tier (see obs::GroupWidthCounts). Only the run's lane width is
+  /// non-zero.
   using GroupWidthCounts = obs::GroupWidthCounts;
 
   [[nodiscard]] const GroupWidthCounts& last_run_group_widths() const noexcept {
     return telem_.group_widths;
   }
 
-  /// Fraction of lane slots that carried a fault in the last run: injected
-  /// lanes / (sum of group widths). 1.0 means every word was full; the
-  /// shortfall is pure dead-lane bandwidth (a 512-lane group with 60 live
-  /// faults still streams all 8 limbs of every word).
+  /// Fraction of lane slots in the last run's groups that carried a fault:
+  /// faults / (sum of group widths). Below 1.0 only when the last group is
+  /// partial. See CampaignTelemetry::lane_cycle_occupancy for the share of
+  /// evaluated lane-cycles that did useful work.
   [[nodiscard]] double last_run_lane_occupancy() const noexcept {
     return telem_.lane_occupancy;
   }
 
  private:
-  /// Per-worker scratch reused across every group the worker runs: the
-  /// injection-schedule index sort and the overlay list keep their heap
-  /// storage between groups.
+  /// Per-worker state reused across every pool the worker runs.
   struct WorkerScratch {
-    std::vector<std::uint32_t> order;
-    // Injection overlays (one vector per lane word type; only the active
-    // width's vector is ever touched): per injection cycle for transient
-    // models, persistent across cycles for every-cycle models (stuck-at).
-    std::vector<CompiledKernel::OverlayEntry<std::uint64_t>> overlay64;
-    std::vector<CompiledKernel::OverlayEntry<Word256>> overlay256;
-    std::vector<CompiledKernel::OverlayEntry<Word512>> overlay512;
+    std::vector<std::uint32_t> pool;  ///< the current pool's fault indices
+    // Retire-callback batch in caller order.
+    std::vector<std::uint32_t> cb_indices;
+    std::vector<FaultOutcome> cb_outcomes;
+    std::vector<std::uint64_t> cb_sigs;
     std::uint64_t eval_cycles = 0;
     std::uint64_t eval_instrs = 0;
     std::uint64_t eval_slot_bytes = 0;
+    std::uint64_t live_lane_cycles = 0;
     /// This worker's telemetry sink, or null when telemetry is off — the
-    /// group runner takes timestamps only when this is set.
+    /// runner takes timestamps only when this is set.
     obs::WorkerTelemetry* telemetry = nullptr;
+    /// Start time and eval_instrs at the open retire batch's start.
+    std::uint64_t batch_begin_ns = 0;
+    std::uint64_t batch_instrs0 = 0;
   };
 
-  /// Grades one lane group on `engine` (lane k carries the view's fault k),
-  /// writing its outcomes and, when `sigs` is non-empty, failure signatures.
-  template <typename Engine, typename View>
-  void run_group(Engine& engine, const View& view,
-                 std::span<FaultOutcome> outcomes,
-                 std::span<std::uint64_t> sigs, WorkerScratch& scratch) const;
+  /// Grades one pool on `engine`: `pool` holds scheduled fault indices in
+  /// cycle order, and each finished fault's lane takes the next arrival.
+  /// Writes outcomes (and, when `sigs` is non-empty, failure signatures) at
+  /// the faults' scheduled indices, and hands retired indices to
+  /// `on_retire` in batches of at most one lane width.
+  template <typename Engine, typename View, typename OnRetire>
+  void run_pool(Engine& engine, const View& view,
+                std::span<const std::uint32_t> pool,
+                std::span<FaultOutcome> outcomes,
+                std::span<std::uint64_t> sigs, const OnRetire& on_retire,
+                WorkerScratch& scratch) const;
 
-  /// Shards the `num_groups` lane groups of a run across `num_workers`
-  /// workers, each owning the engine `make_engine()` returns;
-  /// `run_one(engine, g, scratch)` grades group g.
+  /// Shards the `num_pools` pools of a run across `num_workers` workers,
+  /// each owning the engine `make_engine()` returns;
+  /// `run_one(engine, p, scratch)` grades pool p.
   template <typename MakeEngine, typename RunOne>
   void run_sharded(const MakeEngine& make_engine, const RunOne& run_one,
-                   std::size_t num_groups, unsigned num_workers);
+                   std::size_t num_pools, unsigned num_workers);
 
   /// The generic campaign driver every public entry point wraps: validates
   /// the faults through the model descriptor, sorts them cycle-major,
-  /// dispatches on backend x lane width, shards the groups (running them
+  /// dispatches on backend x lane width, shards the pools (running them
   /// through ModelView<Traits>) and scatters the outcomes back to caller
   /// order.
   template <typename Traits>
@@ -332,7 +353,7 @@ class ParallelFaultSimulator {
   const Circuit& circuit_;
   const Testbench& testbench_;
   CampaignConfig config_;
-  /// Lane width groups actually run at: config_.lanes, or 64 when
+  /// Lane width banks actually run at: config_.lanes, or 64 when
   /// interpreted.
   LaneWidth lanes_ = LaneWidth::k64;
   GoldenTrace golden_;

@@ -53,7 +53,11 @@ TelemetryCollector::TelemetryCollector() {
       registry_.add_counter("artifact_cache_bytes_read", "bytes");
   c_cache_bytes_written_ =
       registry_.add_counter("artifact_cache_bytes_written", "bytes");
+  c_live_lane_cycles_ = registry_.add_counter("live_lane_cycles", "lanes");
+  c_lane_cycles_ = registry_.add_counter("lane_cycles", "lanes");
   peak_occupancy_ = registry_.add_gauge("peak_group_occupancy_pct", "percent");
+  g_lane_cycle_occupancy_ =
+      registry_.add_gauge("lane_cycle_occupancy_ppm", "ppm");
   g_opt_raw_instrs_ =
       registry_.add_gauge("kernel_opt_raw_instrs", "instructions");
   g_opt_instrs_ = registry_.add_gauge("kernel_opt_instrs", "instructions");
@@ -141,6 +145,16 @@ void TelemetryCollector::record_optimizer(
   total_.set(g_opt_folded_, folded);
   total_.set(g_opt_dead_, dead);
   total_.set(g_opt_preserved_, preserved);
+}
+
+void TelemetryCollector::record_lane_cycles(std::uint64_t live,
+                                            std::uint64_t total) {
+  total_.add(c_live_lane_cycles_, live);
+  total_.add(c_lane_cycles_, total);
+  const std::uint64_t all = total_.counter(c_lane_cycles_);
+  total_.set(g_lane_cycle_occupancy_,
+             all != 0 ? total_.counter(c_live_lane_cycles_) * 1'000'000 / all
+                      : 0);
 }
 
 void TelemetryCollector::record_cache(std::uint64_t hits, std::uint64_t misses,

@@ -14,11 +14,9 @@ namespace femu::obs {
 
 class TelemetryCollector;
 
-/// Lane-group counts per width tier for one run (formerly nested in
-/// ParallelFaultSimulator; the engine keeps a compatibility alias). Under
-/// a fixed width policy only the configured tier is non-zero; under the
-/// adaptive policy the tail tiers show how the scheduler decomposed
-/// partial blocks.
+/// Lane-width groups one run dealt to its pools, per width tier (the
+/// engine keeps the alias ParallelFaultSimulator::GroupWidthCounts). Only
+/// the run's lane width is non-zero.
 struct GroupWidthCounts {
   std::uint64_t g64 = 0;
   std::uint64_t g256 = 0;
@@ -31,8 +29,9 @@ struct GroupWidthCounts {
 /// Structured scalar snapshot of one campaign run plus the engine's one-time
 /// construction phases. Always populated by the engine — no collector needed
 /// — and the storage behind every `last_run_*` accessor. All work metrics
-/// (cycles, instrs, bytes, narrowings, widths, occupancy) are deterministic:
-/// identical for any thread count, with telemetry attached or not.
+/// (cycles, instrs, bytes, lane-cycles, group counts, occupancies) are
+/// deterministic: identical for any thread count, with telemetry attached
+/// or not.
 struct CampaignTelemetry {
   // Construction phases (timed once, in the engine constructor).
   double compile_seconds = 0.0;  ///< kernel compile (0 when interpreted)
@@ -59,7 +58,13 @@ struct CampaignTelemetry {
   std::uint64_t eval_slot_bytes = 0;
   std::uint64_t narrowings = 0;  ///< always 0: the engine never narrows
   GroupWidthCounts group_widths;
+  /// Faults ÷ lane slots of the groups dealt to pools.
   double lane_occupancy = 1.0;
+  /// Lane-cycles that carried an ungraded fault, summed over every eval.
+  std::uint64_t live_lane_cycles = 0;
+  /// Useful ÷ attempted lane-cycles: live_lane_cycles ÷ (eval_cycles ×
+  /// lane width).
+  double lane_cycle_occupancy = 1.0;
 
   // Kernel optimizer (sim/kernel_opt.h) accounting for the kernel the last
   // run executed. All zero when the optimizer is off or the backend is
@@ -86,11 +91,12 @@ struct CampaignTelemetry {
 /// worker-id order (the determinism contract).
 class WorkerTelemetry {
  public:
-  /// Record one retired lane group: a trace slice on this worker's track
-  /// (args: width, live lanes, narrowings, executed instrs) plus the shard
-  /// metrics (group counters, width/occupancy/narrowing-depth histograms,
-  /// group-duration histogram, peak-occupancy gauge) and the live progress
-  /// heartbeat.
+  /// Record one retire batch (at most one lane width of graded faults): a
+  /// "group" trace slice on this worker's track (args: width, faults in the
+  /// batch, narrowings, instrs executed since the previous batch) plus the
+  /// shard metrics (group counters, width/occupancy/narrowing-depth
+  /// histograms, duration histogram, peak-occupancy gauge) and the live
+  /// progress heartbeat.
   void group_slice(std::uint64_t begin_ns, std::uint64_t end_ns,
                    std::uint32_t width, std::uint32_t live,
                    std::uint32_t narrowings, std::uint64_t instrs);
@@ -155,6 +161,12 @@ class TelemetryCollector {
                         std::uint64_t absorbed, std::uint64_t folded,
                         std::uint64_t dead, std::uint64_t preserved);
 
+  /// Lane-cycle accounting of one run: counters `live_lane_cycles` and
+  /// `lane_cycles` (evals × lane width) plus the gauge
+  /// `lane_cycle_occupancy_ppm`, their cumulative ratio in parts per
+  /// million. Campaign-thread only, after the workers finish.
+  void record_lane_cycles(std::uint64_t live, std::uint64_t total);
+
   /// Artifact-cache accounting for one engine construction (counters —
   /// several constructions against one collector accumulate). Campaign-
   /// thread only.
@@ -188,7 +200,8 @@ class TelemetryCollector {
       eval_instrs_;
   CounterId c_cache_hits_, c_cache_misses_, c_cache_bytes_read_,
       c_cache_bytes_written_;
-  GaugeId peak_occupancy_;
+  CounterId c_live_lane_cycles_, c_lane_cycles_;
+  GaugeId peak_occupancy_, g_lane_cycle_occupancy_;
   GaugeId g_opt_raw_instrs_, g_opt_instrs_, g_opt_absorbed_, g_opt_folded_,
       g_opt_dead_, g_opt_preserved_;
   HistogramId h_width_, h_occupancy_, h_narrow_depth_, h_group_ns_,

@@ -349,9 +349,15 @@ class LaneEngine {
 
   /// Broadcasts the scalar state to every lane.
   void broadcast_state(const BitVec& state) {
+    blend_state(state, Traits::ones());
+  }
+
+  /// Broadcasts the scalar state to the lanes of `lanes` only; the other
+  /// lanes keep their state.
+  void blend_state(const BitVec& state, const Word& lanes) {
     const std::span<const std::uint64_t> bits = state.words();
     for (std::size_t i = 0; i < state_.size(); ++i) {
-      state_[i] = bit_word(bits, i);
+      state_[i] = (state_[i] & ~lanes) | (bit_word(bits, i) & lanes);
     }
   }
 
@@ -359,6 +365,10 @@ class LaneEngine {
   void flip_state_bit(std::size_t ff_index, unsigned lane) {
     state_[ff_index] ^= Traits::lane_bit(lane);
   }
+
+  /// Exchanges the engine's DFF state with `state` (one word per DFF) in
+  /// O(1): several state banks take turns on one slot array.
+  void swap_state(std::vector<Word>& state) noexcept { state_.swap(state); }
 
   /// Combinational evaluation with `inputs` broadcast to every lane.
   void eval(const BitVec& inputs) {

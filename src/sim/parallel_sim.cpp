@@ -50,11 +50,12 @@ void ParallelSimulator::reset() {
   std::fill(state_.begin(), state_.end(), std::uint64_t{0});
 }
 
-void ParallelSimulator::broadcast_state(const BitVec& state) {
+void ParallelSimulator::blend_state(const BitVec& state,
+                                    std::uint64_t lanes) {
   FEMU_CHECK(state.size() == state_.size(), "state width ", state.size(),
              " != ", state_.size());
   for (std::size_t i = 0; i < state_.size(); ++i) {
-    state_[i] = broadcast(state.get(i));
+    state_[i] = (state_[i] & ~lanes) | (broadcast(state.get(i)) & lanes);
   }
 }
 

@@ -41,10 +41,20 @@ class ParallelSimulator {
   void reset();
 
   /// Broadcasts the scalar state to all 64 lanes.
-  void broadcast_state(const BitVec& state);
+  void broadcast_state(const BitVec& state) { blend_state(state, ~0ULL); }
+
+  /// Broadcasts the scalar state to the lanes of `lanes` only; the other
+  /// lanes keep their state.
+  void blend_state(const BitVec& state, std::uint64_t lanes);
 
   /// XORs lane `lane` of flip-flop `ff_index` (SEU injection).
   void flip_state_bit(std::size_t ff_index, unsigned lane);
+
+  /// Exchanges the DFF state with `state` (one word per DFF) in O(1):
+  /// several state banks take turns on one value array.
+  void swap_state(std::vector<std::uint64_t>& state) noexcept {
+    state_.swap(state);
+  }
 
   /// Combinational evaluation with `inputs` broadcast to every lane.
   void eval(const BitVec& inputs);

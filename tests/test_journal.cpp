@@ -386,7 +386,7 @@ TEST(JournalKillResumeSlow, SigkilledCampaignResumesBitIdentical) {
   ASSERT_GE(child, 0);
   if (child == 0) {
     // Child: journaled campaign slowed to a crawl so the parent can SIGKILL
-    // it mid-flight (the observer runs after each group's journal append).
+    // it mid-flight (the observer runs after each batch's journal append).
     ParallelFaultSimulator sim(c, tb, config);
     const auto slow = [](std::span<const std::uint32_t>,
                          std::span<const FaultOutcome>,

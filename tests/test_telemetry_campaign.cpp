@@ -208,9 +208,10 @@ TEST(TelemetryCampaignTest, TraceJsonWellFormedWithPerWorkerTracks) {
        {"compile", "golden_trace", "plan", "grade"}) {
     EXPECT_TRUE(campaign_names.contains(phase)) << phase;
   }
-  // Every retired group became exactly one slice, on some worker track —
-  // WHICH workers retired groups is scheduling-dependent (work stealing),
-  // so assert the range, not a specific id.
+  // Every retire batch became exactly one slice, on some worker track, and
+  // a run has as many batches as lane-width groups. WHICH workers retired
+  // them is scheduling-dependent (work stealing), so assert the range, not
+  // a specific id.
   EXPECT_EQ(groups, sim.last_run_group_widths().total());
   EXPECT_TRUE(slice_tids.contains(obs::kCampaignTrack));
   bool worker_slices = false;
@@ -250,7 +251,7 @@ TEST(TelemetryCampaignTest, JournaledCampaignRecordsFlushLatency) {
       run_journaled_seu_campaign(sim, faults, path, /*resume=*/false);
   EXPECT_EQ(rep.graded, faults.size());
 
-  // One flush span per retired group (plus the completion marker).
+  // One flush span per retire batch (plus the completion marker).
   const obs::MetricSnapshot snap = collector.snapshot();
   const auto hist_names = collector.registry().histogram_names();
   bool found = false;
