@@ -2,7 +2,8 @@
 // system: raw simulator throughput (cycles/s, gate-evals/s) for the
 // interpreted and compiled backends side by side, fault-grading throughput
 // (faults/s) of the serial vs the bit-parallel engines at both lane widths,
-// and the cost of the netlist transforms and the LUT mapper.
+// and the cost of the `.bench` reader, the netlist transforms and the LUT
+// mapper.
 //
 // These are the numbers that justify the fast-path architecture: the
 // compiled 64/256-lane engines grade b14 faults orders of magnitude faster
@@ -13,7 +14,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <string>
 #include <string_view>
 
 #include "circuits/b14.h"
@@ -24,6 +27,7 @@
 #include "fault/parallel_faultsim.h"
 #include "fault/serial_faultsim.h"
 #include "map/lut_mapper.h"
+#include "netlist/bench_io.h"
 #include "sim/compiled_kernel.h"
 #include "sim/event_sim.h"
 #include "sim/levelized_sim.h"
@@ -213,6 +217,29 @@ void BM_ParallelFaultSim_B14_CompiledSharded(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelFaultSim_B14_CompiledSharded)
     ->Unit(benchmark::kMillisecond);
+
+// ---- .bench reader ------------------------------------------------------------
+
+// Parses a writer-produced netlist text; items are text lines, so the row
+// reads as lines/s.
+void read_bench_rows(benchmark::State& state, const Circuit& circuit) {
+  const std::string text = write_bench_string(circuit);
+  const auto lines = std::count(text.begin(), text.end(), '\n');
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(read_bench_string(text, circuit.name()));
+  }
+  state.SetItemsProcessed(state.iterations() * lines);
+}
+
+void BM_ReadBench_Pipe32x128(benchmark::State& state) {
+  read_bench_rows(state, circuits::build_pipeline(32, 128));
+}
+BENCHMARK(BM_ReadBench_Pipe32x128)->Unit(benchmark::kMillisecond);
+
+void BM_ReadBench_B14(benchmark::State& state) {
+  read_bench_rows(state, b14());
+}
+BENCHMARK(BM_ReadBench_B14)->Unit(benchmark::kMillisecond);
 
 // ---- netlist transforms -----------------------------------------------------
 

@@ -1,11 +1,17 @@
 #include "netlist/bench_io.h"
 
+#include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "common/error.h"
 #include "common/strings.h"
@@ -14,275 +20,376 @@ namespace femu {
 
 namespace {
 
-struct Definition {
-  std::string op;                 // upper/lower-case free gate keyword
-  std::vector<std::string> args;  // operand signal names
-  int line = 0;
-};
-
-struct ParsedFile {
-  std::vector<std::string> inputs;
-  std::vector<std::string> outputs;
-  std::unordered_map<std::string, Definition> defs;
-  std::vector<std::string> def_order;
-};
-
-[[noreturn]] void fail(int line, const std::string& message) {
+[[noreturn]] void fail(int line, std::string_view message) {
   throw ParseError(str_cat("bench parse error at line ", line, ": ", message));
 }
 
-/// Parses "HEAD(arg1, arg2)" into head and args; returns false when the text
-/// does not have call shape.
-bool parse_call(std::string_view text, std::string& head,
-                std::vector<std::string>& args) {
-  const std::size_t open = text.find('(');
-  const std::size_t close = text.rfind(')');
-  if (open == std::string_view::npos || close == std::string_view::npos ||
-      close < open) {
-    return false;
-  }
-  head = std::string(trim(text.substr(0, open)));
-  args.clear();
-  const std::string_view inner = text.substr(open + 1, close - open - 1);
-  for (const auto& piece : split(inner, ',')) {
-    const auto arg = trim(piece);
-    if (!arg.empty()) {
-      args.emplace_back(arg);
+struct Keyword {
+  std::string_view name;
+  CellType type;
+};
+
+constexpr Keyword kGateKeywords[] = {
+    {"and", CellType::kAnd},       {"or", CellType::kOr},
+    {"xor", CellType::kXor},       {"nand", CellType::kNand},
+    {"nor", CellType::kNor},       {"xnor", CellType::kXnor},
+    {"not", CellType::kNot},       {"buf", CellType::kBuf},
+    {"buff", CellType::kBuf},      {"dff", CellType::kDff},
+    {"mux", CellType::kMux},       {"const0", CellType::kConst0},
+    {"gnd", CellType::kConst0},    {"const1", CellType::kConst1},
+    {"vcc", CellType::kConst1},    {"vdd", CellType::kConst1},
+};
+
+/// Gate keyword to cell type, case-insensitively; nullopt when unknown.
+std::optional<CellType> classify_gate(std::string_view head) {
+  const std::string keyword = to_lower(head);
+  for (const Keyword& k : kGateKeywords) {
+    if (keyword == k.name) {
+      return k.type;
     }
   }
-  return true;
+  return std::nullopt;
 }
 
-ParsedFile parse_lines(std::istream& in) {
-  ParsedFile file;
-  std::string raw;
-  int line_no = 0;
-  while (std::getline(in, raw)) {
-    ++line_no;
-    std::string_view line = trim(raw);
-    if (line.empty() || line.front() == '#') {
-      continue;
+void check_arity(CellType type, std::string_view head, std::size_t n,
+                 int line) {
+  const auto want = [&](std::size_t expected) {
+    if (n != expected) {
+      fail(line, str_cat(head, " takes ", expected, " operand(s), got ", n));
     }
-    const std::size_t eq = line.find('=');
-    if (eq == std::string_view::npos) {
-      std::string head;
-      std::vector<std::string> args;
-      if (!parse_call(line, head, args) || args.size() != 1) {
-        fail(line_no, str_cat("expected INPUT(x)/OUTPUT(x), got '", line, "'"));
+  };
+  switch (type) {
+    case CellType::kDff:
+    case CellType::kNot:
+    case CellType::kBuf:
+      want(1);
+      break;
+    case CellType::kMux:
+      want(3);
+      break;
+    case CellType::kConst0:
+    case CellType::kConst1:
+      want(0);
+      break;
+    default:
+      if (n < 2) {
+        fail(line, str_cat(head, " needs at least 2 operands"));
       }
-      const std::string keyword = to_lower(head);
-      if (keyword == "input") {
-        file.inputs.push_back(args[0]);
-      } else if (keyword == "output") {
-        file.outputs.push_back(args[0]);
-      } else {
-        fail(line_no, str_cat("unknown directive '", head, "'"));
-      }
-      continue;
-    }
-    const std::string target(trim(line.substr(0, eq)));
-    if (target.empty()) {
-      fail(line_no, "missing assignment target");
-    }
-    Definition def;
-    def.line = line_no;
-    if (!parse_call(line.substr(eq + 1), def.op, def.args)) {
-      fail(line_no, str_cat("malformed gate expression '", line, "'"));
-    }
-    if (!file.defs.emplace(target, std::move(def)).second) {
-      fail(line_no, str_cat("signal '", target, "' defined twice"));
-    }
-    file.def_order.push_back(target);
+      break;
   }
-  return file;
 }
 
-/// Reduces `operands` with the binary gate `type` as a balanced tree
-/// (keeps mapped LUT depth logarithmic for wide reductions).
+/// Reduces `operands` in place with the binary gate `type` as a balanced
+/// tree (keeps mapped LUT depth logarithmic for wide reductions).
 NodeId reduce_tree(Circuit& circuit, CellType type,
-                   std::vector<NodeId> operands) {
-  FEMU_CHECK(!operands.empty(), "reduce_tree needs operands");
-  while (operands.size() > 1) {
-    std::vector<NodeId> next;
-    next.reserve((operands.size() + 1) / 2);
-    for (std::size_t i = 0; i + 1 < operands.size(); i += 2) {
-      next.push_back(circuit.add_gate(type, operands[i], operands[i + 1]));
+                   std::vector<NodeId>& operands) {
+  std::size_t n = operands.size();
+  while (n > 1) {
+    std::size_t m = 0;
+    for (std::size_t i = 0; i + 1 < n; i += 2) {
+      operands[m++] = circuit.add_gate(type, operands[i], operands[i + 1]);
     }
-    if (operands.size() % 2 == 1) {
-      next.push_back(operands.back());
+    if (n % 2 == 1) {
+      operands[m++] = operands[n - 1];
     }
-    operands = std::move(next);
+    n = m;
   }
   return operands[0];
 }
 
-class BenchBuilder {
+/// One pass over the text. Every signal name is interned once to a dense id
+/// (views into the text, which must outlive the reader); each definition is
+/// a flat record whose operands are ids in one shared vector. Resolution is
+/// an iterative DFS over ids that emits nodes in dependency order.
+class BenchReader {
  public:
-  BenchBuilder(const ParsedFile& file, std::string circuit_name)
-      : file_(file), circuit_(std::move(circuit_name)) {}
+  explicit BenchReader(std::string_view text) {
+    ids_.reserve(text.size() / 16);
+    const char* p = text.data();
+    const char* const end = p + text.size();
+    int line_no = 0;
+    while (p < end) {
+      const auto* nl = static_cast<const char*>(
+          std::memchr(p, '\n', static_cast<std::size_t>(end - p)));
+      const char* const stop = nl != nullptr ? nl : end;
+      std::string_view line(p, static_cast<std::size_t>(stop - p));
+      p = nl != nullptr ? nl + 1 : end;
+      ++line_no;
+      if (const std::size_t hash = line.find('#');
+          hash != std::string_view::npos) {
+        line = line.substr(0, hash);
+      }
+      line = trim(line);
+      if (!line.empty()) {
+        parse_line(line, line_no);
+      }
+    }
+  }
 
-  Circuit build() {
-    for (const auto& name : file_.inputs) {
-      nodes_[name] = circuit_.add_input(name);
+  Circuit build(std::string circuit_name) {
+    Circuit circuit(std::move(circuit_name));
+    nodes_.assign(signals_.size(), kInvalidNode);
+    on_stack_.assign(signals_.size(), 0);
+    for (const std::uint32_t id : inputs_) {
+      nodes_[id] = circuit.add_input(std::string(names_[id]));
     }
     // Create all DFFs up front so combinational logic can reference their Q
     // pins regardless of textual order.
-    for (const auto& target : file_.def_order) {
-      const auto& def = file_.defs.at(target);
-      if (to_lower(def.op) == "dff") {
-        if (def.args.size() != 1) {
-          fail(def.line, "DFF takes exactly one operand");
-        }
-        nodes_[target] = circuit_.add_dff(target);
+    for (const std::uint32_t id : defs_) {
+      if (signals_[id].type == CellType::kDff) {
+        nodes_[id] = circuit.add_dff(std::string(names_[id]));
       }
     }
-    for (const auto& target : file_.def_order) {
-      resolve(target);
+    for (const std::uint32_t id : defs_) {
+      resolve(circuit, id, signals_[id].line);
     }
-    for (const auto& target : file_.def_order) {
-      const auto& def = file_.defs.at(target);
-      if (to_lower(def.op) == "dff") {
-        circuit_.connect_dff(nodes_.at(target), resolve(def.args[0]));
+    for (const std::uint32_t id : defs_) {
+      const Signal& dff = signals_[id];
+      if (dff.type == CellType::kDff) {
+        circuit.connect_dff(nodes_[id],
+                            resolve(circuit, args_[dff.args_begin], dff.line));
       }
     }
-    for (const auto& name : file_.outputs) {
-      circuit_.add_output(name, resolve(name));
+    for (const auto& [id, line] : outputs_) {
+      circuit.add_output(std::string(names_[id]), resolve(circuit, id, line));
     }
-    circuit_.validate();
-    return std::move(circuit_);
+    circuit.validate();
+    return circuit;
   }
 
  private:
-  /// Emits the definition of `name` (and, recursively, its operands) into the
-  /// circuit. Iterative DFS with an on-stack set for comb-loop detection.
-  NodeId resolve(const std::string& name) {
-    const auto ready = nodes_.find(name);
-    if (ready != nodes_.end()) {
-      return ready->second;
+  struct Signal {
+    CellType type = CellType::kInput;
+    int line = 0;  ///< defining line; 0 while the signal is undefined
+    std::uint32_t args_begin = 0;
+    std::uint32_t args_end = 0;
+  };
+
+  std::uint32_t intern(std::string_view name) {
+    const auto next = static_cast<std::uint32_t>(names_.size());
+    const auto [it, inserted] = ids_.try_emplace(name, next);
+    if (inserted) {
+      names_.push_back(name);
+      signals_.emplace_back();
     }
-    std::vector<std::string> stack{name};
-    while (!stack.empty()) {
-      const std::string current = stack.back();
-      if (nodes_.count(current) != 0) {
-        stack.pop_back();
-        on_stack_.erase(current);
+    return it->second;
+  }
+
+  void define(std::uint32_t id, CellType type, int line) {
+    Signal& signal = signals_[id];
+    if (signal.line != 0) {
+      fail(line, str_cat("signal '", names_[id], "' defined twice"));
+    }
+    signal.type = type;
+    signal.line = line;
+  }
+
+  /// Splits "HEAD(arg1, arg2)" into head and tokens_; returns false when the
+  /// text does not have call shape. `text` is trimmed and comment-free, so
+  /// anything after the first ')' is an error, as is an empty operand.
+  bool parse_call(std::string_view text, int line_no, std::string_view& head) {
+    const std::size_t open = text.find('(');
+    if (open == std::string_view::npos) {
+      return false;
+    }
+    const std::size_t close = text.find(')', open + 1);
+    if (close == std::string_view::npos) {
+      return false;
+    }
+    if (close + 1 != text.size()) {
+      fail(line_no, str_cat("unexpected text after ')': '",
+                            text.substr(close + 1), "'"));
+    }
+    head = trim(text.substr(0, open));
+    tokens_.clear();
+    std::string_view inner = text.substr(open + 1, close - open - 1);
+    if (trim(inner).empty()) {
+      return true;
+    }
+    for (;;) {
+      const std::size_t comma = inner.find(',');
+      const std::string_view token = trim(inner.substr(0, comma));
+      if (token.empty()) {
+        fail(line_no, str_cat("empty operand in '", text, "'"));
+      }
+      tokens_.push_back(token);
+      if (comma == std::string_view::npos) {
+        return true;
+      }
+      inner.remove_prefix(comma + 1);
+    }
+  }
+
+  void parse_line(std::string_view line, int line_no) {
+    std::string_view head;
+    const std::size_t eq = line.find('=');
+    if (eq == std::string_view::npos) {
+      if (!parse_call(line, line_no, head) || tokens_.size() != 1) {
+        fail(line_no, str_cat("expected INPUT(x)/OUTPUT(x), got '", line, "'"));
+      }
+      const std::string keyword = to_lower(head);
+      if (keyword == "input") {
+        const std::uint32_t id = intern(tokens_[0]);
+        define(id, CellType::kInput, line_no);
+        inputs_.push_back(id);
+      } else if (keyword == "output") {
+        outputs_.emplace_back(intern(tokens_[0]), line_no);
+      } else {
+        fail(line_no, str_cat("unknown directive '", head, "'"));
+      }
+      return;
+    }
+    const std::string_view target = trim(line.substr(0, eq));
+    if (target.empty()) {
+      fail(line_no, "missing assignment target");
+    }
+    if (!parse_call(line.substr(eq + 1), line_no, head)) {
+      fail(line_no, str_cat("malformed gate expression '", line, "'"));
+    }
+    const std::optional<CellType> type = classify_gate(head);
+    if (!type) {
+      fail(line_no, str_cat("unknown gate type '", head, "'"));
+    }
+    check_arity(*type, head, tokens_.size(), line_no);
+    const std::uint32_t id = intern(target);
+    define(id, *type, line_no);
+    const auto begin = static_cast<std::uint32_t>(args_.size());
+    for (const std::string_view token : tokens_) {
+      args_.push_back(intern(token));
+    }
+    signals_[id].args_begin = begin;
+    signals_[id].args_end = static_cast<std::uint32_t>(args_.size());
+    defs_.push_back(id);
+  }
+
+  [[noreturn]] void undefined(std::uint32_t id, int line) const {
+    fail(line, str_cat("signal '", names_[id], "' is used but never defined"));
+  }
+
+  /// Emits `root` (and, first, its unresolved operands) into the circuit.
+  /// `line` names the reference in the error when `root` is undefined.
+  NodeId resolve(Circuit& circuit, std::uint32_t root, int line) {
+    if (nodes_[root] != kInvalidNode) {
+      return nodes_[root];
+    }
+    if (signals_[root].line == 0) {
+      undefined(root, line);
+    }
+    stack_.assign(1, root);
+    while (!stack_.empty()) {
+      const std::uint32_t current = stack_.back();
+      if (nodes_[current] != kInvalidNode) {
+        stack_.pop_back();
+        on_stack_[current] = 0;
         continue;
       }
-      const auto it = file_.defs.find(current);
-      if (it == file_.defs.end()) {
-        throw ParseError(str_cat("bench: signal '", current,
-                                 "' is used but never defined"));
-      }
-      const Definition& def = it->second;
-      on_stack_.insert(current);
+      const Signal& def = signals_[current];
+      on_stack_[current] = 1;
       bool operands_ready = true;
-      for (const auto& arg : def.args) {
-        if (nodes_.count(arg) != 0) {
+      for (std::uint32_t k = def.args_begin; k < def.args_end; ++k) {
+        const std::uint32_t arg = args_[k];
+        if (nodes_[arg] != kInvalidNode) {
           continue;
         }
-        const auto arg_def = file_.defs.find(arg);
-        if (arg_def != file_.defs.end() &&
-            to_lower(arg_def->second.op) == "dff") {
-          continue;  // DFF Q pins were pre-created
+        if (signals_[arg].line == 0) {
+          undefined(arg, def.line);
         }
-        if (on_stack_.count(arg) != 0) {
+        if (on_stack_[arg] != 0) {
           throw NetlistError(str_cat("bench: combinational loop through '",
-                                     arg, "' (line ", def.line, ")"));
+                                     names_[arg], "' (line ", def.line, ")"));
         }
-        stack.push_back(arg);
+        stack_.push_back(arg);
         operands_ready = false;
       }
       if (!operands_ready) {
         continue;
       }
-      nodes_[current] = emit(current, def);
-      stack.pop_back();
-      on_stack_.erase(current);
+      nodes_[current] = emit(circuit, current);
+      stack_.pop_back();
+      on_stack_[current] = 0;
     }
-    return nodes_.at(name);
+    return nodes_[root];
   }
 
-  NodeId emit(const std::string& target, const Definition& def) {
-    const std::string op = to_lower(def.op);
-    std::vector<NodeId> args;
-    args.reserve(def.args.size());
-    for (const auto& arg : def.args) {
-      args.push_back(nodes_.at(arg));
+  NodeId emit(Circuit& circuit, std::uint32_t id) {
+    const Signal& def = signals_[id];
+    operands_.clear();
+    for (std::uint32_t k = def.args_begin; k < def.args_end; ++k) {
+      operands_.push_back(nodes_[args_[k]]);
     }
-    const auto want = [&](std::size_t n) {
-      if (args.size() != n) {
-        fail(def.line, str_cat(def.op, " takes ", n, " operand(s), got ",
-                               args.size()));
-      }
-    };
     NodeId node = kInvalidNode;
-    if (op == "not") {
-      want(1);
-      node = circuit_.add_not(args[0]);
-    } else if (op == "buf" || op == "buff") {
-      want(1);
-      node = circuit_.add_buf(args[0]);
-    } else if (op == "mux") {
-      want(3);
-      node = circuit_.add_mux(args[0], args[1], args[2]);
-    } else if (op == "const0" || op == "gnd") {
-      want(0);
-      node = circuit_.add_buf(circuit_.add_const(false));
-    } else if (op == "const1" || op == "vcc" || op == "vdd") {
-      want(0);
-      node = circuit_.add_buf(circuit_.add_const(true));
-    } else if (op == "and" || op == "or" || op == "xor" || op == "nand" ||
-               op == "nor" || op == "xnor") {
-      if (args.size() < 2) {
-        fail(def.line, str_cat(def.op, " needs at least 2 operands"));
-      }
-      if (args.size() == 2) {
-        const CellType type = op == "and"    ? CellType::kAnd
-                              : op == "or"   ? CellType::kOr
-                              : op == "xor"  ? CellType::kXor
-                              : op == "nand" ? CellType::kNand
-                              : op == "nor"  ? CellType::kNor
-                                             : CellType::kXnor;
-        node = circuit_.add_gate(type, args[0], args[1]);
-      } else {
-        // n-ary: reduce with the positive gate, invert when needed.
-        const CellType base = (op == "and" || op == "nand") ? CellType::kAnd
-                              : (op == "or" || op == "nor") ? CellType::kOr
-                                                            : CellType::kXor;
-        node = reduce_tree(circuit_, base, args);
-        if (op == "nand" || op == "nor" || op == "xnor") {
-          node = circuit_.add_not(node);
+    switch (def.type) {
+      case CellType::kNot:
+      case CellType::kBuf:
+        node = circuit.add_unary(def.type, operands_[0]);
+        break;
+      case CellType::kMux:
+        node = circuit.add_mux(operands_[0], operands_[1], operands_[2]);
+        break;
+      case CellType::kConst0:
+      case CellType::kConst1:
+        node = circuit.add_buf(
+            circuit.add_const(def.type == CellType::kConst1));
+        break;
+      case CellType::kInput:
+      case CellType::kDff:
+        FEMU_CHECK(false, "bench: inputs and DFFs are created before emit");
+        break;
+      default:
+        if (operands_.size() == 2) {
+          node = circuit.add_gate(def.type, operands_[0], operands_[1]);
+        } else {
+          // n-ary: reduce with the positive gate, invert when needed.
+          const bool inverted = def.type == CellType::kNand ||
+                                def.type == CellType::kNor ||
+                                def.type == CellType::kXnor;
+          const CellType base =
+              (def.type == CellType::kAnd || def.type == CellType::kNand)
+                  ? CellType::kAnd
+              : (def.type == CellType::kOr || def.type == CellType::kNor)
+                  ? CellType::kOr
+                  : CellType::kXor;
+          node = reduce_tree(circuit, base, operands_);
+          if (inverted) {
+            node = circuit.add_not(node);
+          }
         }
-      }
-    } else if (op == "dff") {
-      FEMU_CHECK(false, "dff reached emit — handled in build()");
-    } else {
-      fail(def.line, str_cat("unknown gate type '", def.op, "'"));
+        break;
     }
-    // Give the target signal its bench name unless it collides with the node
-    // auto-name space; names make DOT dumps and error messages readable.
-    if (!circuit_.find(target).has_value()) {
-      circuit_.set_name(node, target);
-    }
+    circuit.set_name(node, std::string(names_[id]));
     return node;
   }
 
-  const ParsedFile& file_;
-  Circuit circuit_;
-  std::unordered_map<std::string, NodeId> nodes_;
-  std::unordered_set<std::string> on_stack_;
+  // Parse state: the intern table and one record per signal id.
+  std::unordered_map<std::string_view, std::uint32_t> ids_;
+  std::vector<std::string_view> names_;
+  std::vector<Signal> signals_;
+  std::vector<std::uint32_t> args_;  ///< operand ids of every definition
+  std::vector<std::uint32_t> inputs_;
+  std::vector<std::pair<std::uint32_t, int>> outputs_;  ///< id, line
+  std::vector<std::uint32_t> defs_;  ///< gate and DFF definitions, text order
+  std::vector<std::string_view> tokens_;
+
+  // Build state, indexed by signal id.
+  std::vector<NodeId> nodes_;
+  std::vector<std::uint8_t> on_stack_;
+  std::vector<std::uint32_t> stack_;
+  std::vector<NodeId> operands_;
 };
 
 }  // namespace
 
 Circuit read_bench(std::istream& in, std::string circuit_name) {
-  const ParsedFile file = parse_lines(in);
-  return BenchBuilder(file, std::move(circuit_name)).build();
+  std::string text;
+  char chunk[1 << 16];
+  while (in.read(chunk, sizeof chunk) || in.gcount() > 0) {
+    text.append(chunk, static_cast<std::size_t>(in.gcount()));
+  }
+  return read_bench_string(text, std::move(circuit_name));
 }
 
-Circuit read_bench_string(const std::string& text, std::string circuit_name) {
-  std::istringstream in(text);
-  return read_bench(in, std::move(circuit_name));
+Circuit read_bench_string(std::string_view text, std::string circuit_name) {
+  return BenchReader(text).build(std::move(circuit_name));
 }
 
 Circuit load_bench_file(const std::string& path) {

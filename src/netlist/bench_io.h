@@ -2,6 +2,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "netlist/circuit.h"
 
@@ -20,13 +21,16 @@ namespace femu {
 ///   x = MUX(sel, d0, d1) (extension used by this library's writer)
 ///   x = CONST0() | CONST1() | GND() | VCC()
 ///
-/// Keywords are case-insensitive; signal names are case-sensitive.
-/// Throws ParseError with line information on malformed input and
-/// NetlistError on combinational loops.
+/// Keywords are case-insensitive; signal names are case-sensitive. A '#'
+/// starts a comment anywhere on a line. Every signal is defined once (an
+/// INPUT counts as its definition), an operand list ends at its ')', and
+/// operands are non-empty. Throws ParseError with the line number on
+/// malformed input and NetlistError on combinational loops.
 [[nodiscard]] Circuit read_bench(std::istream& in, std::string circuit_name);
 
-/// Parses a .bench netlist held in a string (convenience for tests).
-[[nodiscard]] Circuit read_bench_string(const std::string& text,
+/// Parses a .bench netlist held in memory, in place (read_bench and
+/// load_bench_file read their input into one string and call this).
+[[nodiscard]] Circuit read_bench_string(std::string_view text,
                                         std::string circuit_name);
 
 /// Loads a .bench file from disk.

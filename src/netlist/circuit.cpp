@@ -4,6 +4,10 @@
 
 namespace femu {
 
+namespace {
+constexpr std::uint32_t kNotDff = 0xffffffffu;
+}  // namespace
+
 Circuit::Circuit(std::string name) : name_(std::move(name)) {}
 
 NodeId Circuit::add_node(CellType type, NodeId a, NodeId b, NodeId c) {
@@ -12,6 +16,7 @@ NodeId Circuit::add_node(CellType type, NodeId a, NodeId b, NodeId c) {
   node.type = type;
   node.fanin = {a, b, c};
   nodes_.push_back(node);
+  node_names_.emplace_back();
   if (is_comb_cell(type)) {
     ++gate_count_;
   }
@@ -65,7 +70,8 @@ NodeId Circuit::add_mux(NodeId sel, NodeId d0, NodeId d1) {
 NodeId Circuit::add_dff(std::string name) {
   const NodeId id = add_node(CellType::kDff, kInvalidNode, kInvalidNode,
                              kInvalidNode);
-  dff_order_.emplace(id, dffs_.size());
+  dff_order_.resize(nodes_.size(), kNotDff);
+  dff_order_[id] = static_cast<std::uint32_t>(dffs_.size());
   dffs_.push_back(id);
   set_name(id, std::move(name));
   return id;
@@ -128,15 +134,14 @@ NodeId Circuit::dff_d(NodeId dff) const {
 
 std::string Circuit::node_name(NodeId id) const {
   check_id(id, "named");
-  const auto it = node_names_.find(id);
-  if (it != node_names_.end()) {
-    return it->second;
+  if (!node_names_[id].empty()) {
+    return node_names_[id];
   }
   return str_cat("n", id);
 }
 
 std::optional<NodeId> Circuit::find(std::string_view name) const {
-  const auto it = name_to_id_.find(std::string(name));
+  const auto it = name_to_id_.find(name);
   if (it == name_to_id_.end()) {
     return std::nullopt;
   }
@@ -144,9 +149,9 @@ std::optional<NodeId> Circuit::find(std::string_view name) const {
 }
 
 std::size_t Circuit::dff_index(NodeId dff) const {
-  const auto it = dff_order_.find(dff);
-  FEMU_CHECK(it != dff_order_.end(), "node ", dff, " is not a DFF");
-  return it->second;
+  FEMU_CHECK(dff < dff_order_.size() && dff_order_[dff] != kNotDff, "node ",
+             dff, " is not a DFF");
+  return dff_order_[dff];
 }
 
 void Circuit::validate() const {

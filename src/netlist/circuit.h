@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -145,9 +146,18 @@ class Circuit {
   std::vector<NodeId> inputs_;
   std::vector<NodeId> dffs_;
   std::vector<OutputPort> outputs_;
-  std::unordered_map<NodeId, std::string> node_names_;
-  std::unordered_map<std::string, NodeId> name_to_id_;
-  std::unordered_map<NodeId, std::size_t> dff_order_;
+  /// Transparent hash, so find(string_view) looks up without a std::string.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const noexcept {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+  std::vector<std::string> node_names_;  ///< by NodeId; empty = unnamed
+  std::unordered_map<std::string, NodeId, NameHash, std::equal_to<>>
+      name_to_id_;
+  /// DFF index by NodeId; ~0u (or past the end) for other nodes.
+  std::vector<std::uint32_t> dff_order_;
   std::size_t gate_count_ = 0;
   NodeId const0_ = kInvalidNode;
   NodeId const1_ = kInvalidNode;
