@@ -6,7 +6,7 @@
 // mapper.
 //
 // These are the numbers that justify the fast-path architecture: the
-// compiled 64/256-lane engines grade b14 faults orders of magnitude faster
+// compiled 64/512-lane engines grade b14 faults orders of magnitude faster
 // than serial simulation, which is what makes whole-campaign reproduction
 // interactive. main() additionally runs a quick interpreted-vs-compiled
 // sanity race and warns (soft, non-fatal) if the compiled kernel ever
@@ -84,7 +84,7 @@ void BM_EventSim_B14(benchmark::State& state) {
 }
 BENCHMARK(BM_EventSim_B14);
 
-// ---- lane-parallel engines: interpreted vs compiled, 64 vs 256 lanes -------
+// ---- lane-parallel engines: interpreted vs compiled, 64 vs 512 lanes -------
 
 void BM_ParallelSim_B14_Interpreted(benchmark::State& state) {
   ParallelSimulator sim(b14(), SimBackend::kInterpreted);
@@ -111,18 +111,18 @@ void BM_ParallelSim_B14_Compiled(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelSim_B14_Compiled);
 
-void BM_LaneEngine256_B14(benchmark::State& state) {
-  LaneEngine<Word256> sim(compile_kernel(b14()));
+void BM_LaneEngine512_B14(benchmark::State& state) {
+  LaneEngine<Word512> sim(compile_kernel(b14()));
   std::size_t t = 0;
   for (auto _ : state) {
     sim.cycle(b14_tb().vector(t));
     benchmark::DoNotOptimize(sim.node_word(0));
     t = (t + 1) % b14_tb().num_cycles();
   }
-  // 256 machines per iteration.
-  state.SetItemsProcessed(state.iterations() * 256);
+  // 512 machines per iteration.
+  state.SetItemsProcessed(state.iterations() * 512);
 }
-BENCHMARK(BM_LaneEngine256_B14);
+BENCHMARK(BM_LaneEngine512_B14);
 
 // ---- fault-grading campaigns ------------------------------------------------
 
@@ -161,28 +161,9 @@ void BM_ParallelFaultSim_B14_Compiled(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelFaultSim_B14_Compiled)->Unit(benchmark::kMillisecond);
 
-// Same campaign on the raw (un-optimized) kernel — the A/B twin that shows
-// what the kernel IR optimizer (sim/kernel_opt.h) buys per fault.
-CampaignConfig noopt_config(LaneWidth w) {
-  CampaignConfig config{SimBackend::kCompiled, w, 1};
-  config.optimize = false;
-  return config;
-}
-
-void BM_ParallelFaultSim_B14_CompiledNoOpt(benchmark::State& state) {
-  ParallelFaultSimulator sim(b14(), b14_tb(), noopt_config(LaneWidth::k64));
-  const auto faults =
-      complete_fault_list(b14().num_dffs(), b14_tb().num_cycles());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sim.run(faults));
-  }
-  state.SetItemsProcessed(state.iterations() * faults.size());
-}
-BENCHMARK(BM_ParallelFaultSim_B14_CompiledNoOpt)->Unit(benchmark::kMillisecond);
-
-void BM_ParallelFaultSim_B14_Compiled256(benchmark::State& state) {
+void BM_ParallelFaultSim_B14_Compiled512(benchmark::State& state) {
   ParallelFaultSimulator sim(
-      b14(), b14_tb(), {SimBackend::kCompiled, LaneWidth::k256, 1});
+      b14(), b14_tb(), {SimBackend::kCompiled, LaneWidth::k512, 1});
   const auto faults =
       complete_fault_list(b14().num_dffs(), b14_tb().num_cycles());
   for (auto _ : state) {
@@ -190,24 +171,12 @@ void BM_ParallelFaultSim_B14_Compiled256(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * faults.size());
 }
-BENCHMARK(BM_ParallelFaultSim_B14_Compiled256)->Unit(benchmark::kMillisecond);
-
-void BM_ParallelFaultSim_B14_Compiled256NoOpt(benchmark::State& state) {
-  ParallelFaultSimulator sim(b14(), b14_tb(), noopt_config(LaneWidth::k256));
-  const auto faults =
-      complete_fault_list(b14().num_dffs(), b14_tb().num_cycles());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sim.run(faults));
-  }
-  state.SetItemsProcessed(state.iterations() * faults.size());
-}
-BENCHMARK(BM_ParallelFaultSim_B14_Compiled256NoOpt)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ParallelFaultSim_B14_Compiled512)->Unit(benchmark::kMillisecond);
 
 void BM_ParallelFaultSim_B14_CompiledSharded(benchmark::State& state) {
   ParallelFaultSimulator sim(
       b14(), b14_tb(),
-      {SimBackend::kCompiled, LaneWidth::k256, /*num_threads=*/0});
+      {SimBackend::kCompiled, LaneWidth::k512, /*num_threads=*/0});
   const auto faults =
       complete_fault_list(b14().num_dffs(), b14_tb().num_cycles());
   for (auto _ : state) {

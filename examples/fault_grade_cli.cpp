@@ -2,8 +2,8 @@
 //
 //   fault_grade_cli [circuit] [cycles] [technique] [sample] [seed]
 //                   [--model seu|mbu|set|stuckat] [--pulse-width F]
-//                   [--lanes 64|256|512]
-//                   [--bench FILE] [--no-optimize] [--cache-dir DIR]
+//                   [--lanes 64|512]
+//                   [--bench FILE] [--cache-dir DIR]
 //                   [--journal PATH] [--resume] [--regrade-from SPEC]
 //                   [--progress] [--trace-out FILE] [--metrics-out FILE]
 //                   [--json]
@@ -38,7 +38,7 @@
 //                classic full-cycle inversion]. Narrower pulses latch into
 //                each downstream flip-flop only when they overlap its setup
 //                window (probability == the fraction)
-//     --lanes    grading-engine lane width: 64, 256 or 512 faulty machines
+//     --lanes    grading-engine lane width: 64 or 512 faulty machines
 //                per pass [default: 512]. 512 uses AVX-512 when the host
 //                supports it and portable limbs otherwise; the chosen SIMD
 //                path is reported in --json output ("simd")
@@ -47,17 +47,9 @@
 //                (netlist/bench_io.h) instead of a registry circuit. Any
 //                extension works — unlike the positional form, which only
 //                routes paths containing ".bench" to the parser
-//     --no-optimize
-//                run the campaign on the raw compiled kernel, skipping the
-//                kernel IR optimizer (inverter absorption, constant folding,
-//                dead-logic elimination — sim/kernel_opt.h). The A/B
-//                baseline: classifications are bit-identical with and
-//                without this flag; only the executed instruction stream
-//                (and so faults/s) changes. The reduction shows up in
-//                --json as the "optimizer" object
 //     --cache-dir DIR
 //                persist the campaign setup artifacts (golden trace,
-//                optimized kernel) in DIR,
+//                FF-model optimized kernel) in DIR,
 //                content-addressed by circuit/testbench/optimizer hashes
 //                (fault/artifact_cache.h). The first campaign over a given
 //                (circuit, testbench) pays setup and stores; later ones
@@ -166,9 +158,8 @@ FaultModel parse_model(const std::string& spec) {
 
 LaneWidth parse_lanes(const std::string& spec) {
   if (spec == "64") return LaneWidth::k64;
-  if (spec == "256") return LaneWidth::k256;
   if (spec == "512") return LaneWidth::k512;
-  throw Error(str_cat("unknown lane width '", spec, "' (64 | 256 | 512)"));
+  throw Error(str_cat("unknown lane width '", spec, "' (64 | 512)"));
 }
 
 /// ", \"lane_occupancy\": ..." — the engine work
@@ -181,14 +172,13 @@ std::string engine_metrics_json(const ParallelFaultSimulator& sim) {
                  ", \"eval_bytes_per_instr\": ",
                  sim.last_run_eval_bytes_per_instr(),
                  ", \"group_widths\": {\"64\": ", widths.g64,
-                 ", \"256\": ", widths.g256, ", \"512\": ", widths.g512,
+                 ", \"512\": ", widths.g512,
                  "}, \"optimizer\": {\"enabled\": ",
                  t.opt_raw_instrs != 0 ? "true" : "false",
                  ", \"raw_instrs\": ", t.opt_raw_instrs,
                  ", \"instrs\": ", t.opt_instrs,
                  ", \"absorbed\": ", t.opt_absorbed,
                  ", \"folded\": ", t.opt_folded, ", \"dead\": ", t.opt_dead,
-                 ", \"preserved\": ", t.opt_preserved,
                  "}, \"cache\": {\"enabled\": ",
                  sim.config().cache_dir.empty() ? "false" : "true",
                  ", \"hits\": ", t.cache_hits, ", \"misses\": ",
@@ -286,23 +276,15 @@ std::string json_escape(std::string_view text) {
 
 int run_seu_journaled(const Circuit& circuit, const Testbench& tb,
                       std::size_t cycles, std::size_t sample,
-                      std::uint64_t seed, LaneWidth lanes,
-                      bool optimize,
-                      const std::string& cache_dir,
+                      std::uint64_t seed, const CampaignConfig& config,
                       const std::string& journal_path, bool resume,
-                      const std::string& regrade_spec,
-                      obs::TelemetryCollector* telemetry, bool json) {
+                      const std::string& regrade_spec, bool json) {
   const std::size_t total = circuit.num_dffs() * cycles;
   const auto faults =
       sample == 0 || sample >= total
           ? complete_fault_list(circuit.num_dffs(), cycles)
           : sample_fault_list(circuit.num_dffs(), cycles, sample, seed);
 
-  CampaignConfig config;
-  config.lanes = lanes;
-  config.optimize = optimize;
-  config.telemetry = telemetry;
-  config.cache_dir = cache_dir;
   ParallelFaultSimulator sim(circuit, tb, config);
   sim.set_capture_signatures(true);
 
@@ -351,7 +333,7 @@ int run_seu_journaled(const Circuit& circuit, const Testbench& tb,
   std::size_t dict_entries = 0;
   double dict_resolution = 0.0;
   {
-    obs::PhaseSpan span(telemetry, "dictionary");
+    obs::PhaseSpan span(config.telemetry, "dictionary");
     const FaultDictionary dict = FaultDictionary::from_campaign(
         faults, result.outcomes(), signatures, sim.golden().outputs);
     dict.save_file(dict_path);
@@ -366,7 +348,7 @@ int run_seu_journaled(const Circuit& circuit, const Testbench& tb,
         "\", \"dictionary_entries\": ", dict_entries,
         ", \"warning\": \"", json_escape(warning), "\"}",
         engine_metrics_json(sim));
-    write_grading_json(std::cout, FaultModel::kSeu, circuit, lanes,
+    write_grading_json(std::cout, FaultModel::kSeu, circuit, config.lanes,
                        faults.size(), result.counts(), sim.last_run_seconds(),
                        extra);
     return 0;
@@ -381,14 +363,9 @@ int run_seu_journaled(const Circuit& circuit, const Testbench& tb,
 
 int run_seu(const Circuit& circuit, const Testbench& tb, std::size_t cycles,
             const std::string& technique_spec, std::size_t sample,
-            std::uint64_t seed, LaneWidth lanes, bool optimize,
-            const std::string& cache_dir,
-            obs::TelemetryCollector* telemetry, bool json) {
+            std::uint64_t seed, const CampaignConfig& config, bool json) {
   EmulatorOptions options;
-  options.campaign.lanes = lanes;
-  options.campaign.optimize = optimize;
-  options.campaign.telemetry = telemetry;
-  options.campaign.cache_dir = cache_dir;
+  options.campaign = config;
   AutonomousEmulator emulator(circuit, tb, options);
   const std::size_t total = circuit.num_dffs() * cycles;
   const auto faults =
@@ -399,7 +376,7 @@ int run_seu(const Circuit& circuit, const Testbench& tb, std::size_t cycles,
   if (json) {
     const EmulationReport report =
         emulator.run(parse_techniques(technique_spec).front(), faults);
-    write_grading_json(std::cout, FaultModel::kSeu, circuit, lanes,
+    write_grading_json(std::cout, FaultModel::kSeu, circuit, config.lanes,
                        faults.size(), report.grading.counts(),
                        report.emulation_seconds,
                        engine_metrics_json(emulator.engine()));
@@ -451,9 +428,8 @@ int run_seu(const Circuit& circuit, const Testbench& tb, std::size_t cycles,
 }
 
 int run_mbu(const Circuit& circuit, const Testbench& tb, std::size_t cycles,
-            std::size_t sample, std::uint64_t seed, LaneWidth lanes,
-            bool optimize, const std::string& cache_dir,
-            obs::TelemetryCollector* telemetry, bool json) {
+            std::size_t sample, std::uint64_t seed,
+            const CampaignConfig& config, bool json) {
   // Complete campaign: all adjacent FF pairs x all cycles (the dominant
   // physical MBU pattern); a sample draws random locality clusters instead.
   const auto faults =
@@ -462,15 +438,10 @@ int run_mbu(const Circuit& circuit, const Testbench& tb, std::size_t cycles,
           : random_cluster_fault_list(circuit.num_dffs(), cycles,
                                      /*cluster_size=*/2, /*window=*/4, sample,
                                      seed);
-  CampaignConfig config;
-  config.lanes = lanes;
-  config.optimize = optimize;
-  config.telemetry = telemetry;
-  config.cache_dir = cache_dir;
   ParallelFaultSimulator sim(circuit, tb, config);
   const MbuCampaignResult result = sim.run_mbu(faults);
   if (json) {
-    write_grading_json(std::cout, FaultModel::kMbu, circuit, lanes,
+    write_grading_json(std::cout, FaultModel::kMbu, circuit, config.lanes,
                        faults.size(), result.counts, sim.last_run_seconds(),
                        engine_metrics_json(sim));
     return 0;
@@ -484,10 +455,8 @@ int run_mbu(const Circuit& circuit, const Testbench& tb, std::size_t cycles,
 }
 
 int run_set(const Circuit& circuit, const Testbench& tb, std::size_t cycles,
-            std::size_t sample, std::uint64_t seed, LaneWidth lanes,
-            bool optimize, std::uint16_t pulse_q,
-            const std::string& cache_dir,
-            obs::TelemetryCollector* telemetry, bool json) {
+            std::size_t sample, std::uint64_t seed,
+            const CampaignConfig& config, std::uint16_t pulse_q, bool json) {
   const SetSites sites(circuit);
   const std::size_t total = sites.num_representatives() * cycles;
   const bool sampled = sample != 0 && sample < total;
@@ -495,11 +464,6 @@ int run_set(const Circuit& circuit, const Testbench& tb, std::size_t cycles,
       sampled ? sample_set_fault_list(sites, cycles, sample, seed, pulse_q)
               : complete_set_fault_list(sites, cycles, /*collapsed=*/true,
                                         pulse_q);
-  CampaignConfig config;
-  config.lanes = lanes;
-  config.optimize = optimize;
-  config.telemetry = telemetry;
-  config.cache_dir = cache_dir;
   ParallelFaultSimulator sim(circuit, tb, config);
   const SetCampaignResult rep_result = sim.run_set(faults);
   const double seconds = sim.last_run_seconds();
@@ -519,7 +483,7 @@ int run_set(const Circuit& circuit, const Testbench& tb, std::size_t cycles,
     if (sampled) {
       extra += intervals_json(est);
     }
-    write_grading_json(std::cout, FaultModel::kSet, circuit, lanes,
+    write_grading_json(std::cout, FaultModel::kSet, circuit, config.lanes,
                        expanded.faults.size(), expanded.counts, seconds,
                        extra);
     return 0;
@@ -550,19 +514,12 @@ int run_set(const Circuit& circuit, const Testbench& tb, std::size_t cycles,
 
 int run_stuckat(const Circuit& circuit, const Testbench& tb,
                 std::size_t cycles, std::size_t sample, std::uint64_t seed,
-                LaneWidth lanes, bool optimize,
-                const std::string& cache_dir,
-                obs::TelemetryCollector* telemetry, bool json) {
+                const CampaignConfig& config, bool json) {
   const SetSites sites(circuit);
   const std::size_t total = sites.num_representatives() * 2;
   const auto faults = sample == 0 || sample >= total
                           ? complete_stuckat_fault_list(sites)
                           : sample_stuckat_fault_list(sites, sample, seed);
-  CampaignConfig config;
-  config.lanes = lanes;
-  config.optimize = optimize;
-  config.telemetry = telemetry;
-  config.cache_dir = cache_dir;
   ParallelFaultSimulator sim(circuit, tb, config);
   const StuckAtCampaignResult rep_result = sim.run_stuckat(faults);
   const double seconds = sim.last_run_seconds();
@@ -572,7 +529,7 @@ int run_stuckat(const Circuit& circuit, const Testbench& tb,
     const std::string extra =
         str_cat(", \"fault_coverage\": ", expanded.fault_coverage(),
                 engine_metrics_json(sim));
-    write_grading_json(std::cout, FaultModel::kStuckAt, circuit, lanes,
+    write_grading_json(std::cout, FaultModel::kStuckAt, circuit, config.lanes,
                        expanded.faults.size(), expanded.counts, seconds,
                        extra);
     return 0;
@@ -634,7 +591,6 @@ int main(int argc, char** argv) {
     std::string metrics_out;
     bool resume = false;
     bool progress = false;
-    bool optimize = true;
     std::uint16_t pulse_q = kSetPulseFull;
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
@@ -646,8 +602,6 @@ int main(int argc, char** argv) {
         pulse_q = set_pulse_q(std::stod(argv[++i]));
       } else if (arg == "--bench" && i + 1 < argc) {
         bench_path = argv[++i];
-      } else if (arg == "--no-optimize") {
-        optimize = false;
       } else if (arg == "--cache-dir" && i + 1 < argc) {
         cache_dir = argv[++i];
       } else if (arg == "--journal" && i + 1 < argc) {
@@ -717,27 +671,27 @@ int main(int argc, char** argv) {
       }
     }
 
+    CampaignConfig config;
+    config.lanes = lanes;
+    config.telemetry = telemetry.get();
+    config.cache_dir = cache_dir;
     int rc = 0;
     switch (model) {
       case FaultModel::kSeu:
         rc = !journal_path.empty()
-                 ? run_seu_journaled(circuit, tb, cycles, sample, seed, lanes,
-                                     optimize, cache_dir, journal_path, resume,
-                                     regrade_spec, telemetry.get(), json)
+                 ? run_seu_journaled(circuit, tb, cycles, sample, seed, config,
+                                     journal_path, resume, regrade_spec, json)
                  : run_seu(circuit, tb, cycles, technique_spec, sample, seed,
-                           lanes, optimize, cache_dir, telemetry.get(), json);
+                           config, json);
         break;
       case FaultModel::kMbu:
-        rc = run_mbu(circuit, tb, cycles, sample, seed, lanes, optimize,
-                     cache_dir, telemetry.get(), json);
+        rc = run_mbu(circuit, tb, cycles, sample, seed, config, json);
         break;
       case FaultModel::kSet:
-        rc = run_set(circuit, tb, cycles, sample, seed, lanes, optimize,
-                     pulse_q, cache_dir, telemetry.get(), json);
+        rc = run_set(circuit, tb, cycles, sample, seed, config, pulse_q, json);
         break;
       case FaultModel::kStuckAt:
-        rc = run_stuckat(circuit, tb, cycles, sample, seed, lanes, optimize,
-                         cache_dir, telemetry.get(), json);
+        rc = run_stuckat(circuit, tb, cycles, sample, seed, config, json);
         break;
     }
     write_telemetry_outputs(telemetry.get(), trace_out, metrics_out);

@@ -13,7 +13,7 @@ namespace femu {
 namespace {
 
 constexpr char kFileMagic[8] = {'F', 'E', 'M', 'U', 'A', 'R', 'T', '\0'};
-constexpr std::uint32_t kArtifactVersion = 2;
+constexpr std::uint32_t kArtifactVersion = 3;
 
 using Payload = std::vector<std::uint8_t>;
 
@@ -105,15 +105,22 @@ void put_trace(Payload& out, const GoldenTrace& trace) {
   for (const BitVec& v : trace.outputs) put_bitvec(out, v);
 }
 
+/// Reads one length-prefixed BitVec list. Every BitVec takes at least its
+/// u64 size prefix, so the count is bounded by the remaining payload before
+/// it sizes anything — a corrupt count can never drive a giant alloc.
+[[nodiscard]] bool take_count(Reader& r, std::uint64_t& n) {
+  return r.get(n) && n <= (r.size - r.pos) / sizeof(std::uint64_t);
+}
+
 [[nodiscard]] bool take_trace(Reader& r, const Circuit& circuit,
                               GoldenTrace& trace) {
   std::uint64_t n = 0;
-  if (!r.get(n)) return false;
+  if (!take_count(r, n)) return false;
   trace.states.resize(static_cast<std::size_t>(n));
   for (BitVec& v : trace.states) {
     if (!r.get_bitvec(v) || v.size() != circuit.num_dffs()) return false;
   }
-  if (!r.get(n)) return false;
+  if (!take_count(r, n)) return false;
   trace.outputs.resize(static_cast<std::size_t>(n));
   for (BitVec& v : trace.outputs) {
     if (!r.get_bitvec(v) || v.size() != circuit.num_outputs()) return false;
@@ -217,7 +224,6 @@ std::uint64_t ArtifactCacheKey::combined() const {
   h.u64(testbench);
   h.u64(config_rule);
   h.u64(optimizer);
-  h.u64(shape);
   return h.digest();
 }
 
@@ -228,22 +234,11 @@ std::string ArtifactCacheKey::file_name() const {
   return buf;
 }
 
-std::uint64_t optimizer_pipeline_hash(bool optimize,
-                                      std::span<const NodeId> preserve) {
+std::uint64_t optimizer_pipeline_hash() {
   Fnv64 h;
   // Bump the tag whenever an optimizer pass changes codegen: a cached
   // optimized kernel from an older pipeline must read as a different key.
   h.str("kernel-opt:absorb-fold-dce:v1");
-  h.u8(optimize ? 1 : 0);
-  h.u64(preserve.size());
-  for (const NodeId n : preserve) h.u32(n);
-  return h.digest();
-}
-
-std::uint64_t artifact_shape_hash(bool opt_kernel) {
-  Fnv64 h;
-  h.str("artifact-shape:v2");
-  h.u8(opt_kernel ? 1 : 0);
   return h.digest();
 }
 
@@ -290,7 +285,7 @@ ArtifactLoadResult load_artifacts(const std::string& dir,
     return std::move(res);
   };
   if (blob.size() < sizeof kFileMagic + sizeof(std::uint32_t) +
-                        5 * sizeof(std::uint64_t) + sizeof(std::uint64_t) ||
+                        4 * sizeof(std::uint64_t) + sizeof(std::uint64_t) ||
       std::memcmp(blob.data(), kFileMagic, sizeof kFileMagic) != 0) {
     return corrupt("bad magic or truncated entry");
   }
@@ -318,8 +313,7 @@ ArtifactLoadResult load_artifacts(const std::string& dir,
   }
   ArtifactCacheKey embedded;
   if (!r.get(embedded.circuit) || !r.get(embedded.testbench) ||
-      !r.get(embedded.config_rule) || !r.get(embedded.optimizer) ||
-      !r.get(embedded.shape)) {
+      !r.get(embedded.config_rule) || !r.get(embedded.optimizer)) {
     return corrupt("truncated key");
   }
   if (embedded != key) {
@@ -327,8 +321,7 @@ ArtifactLoadResult load_artifacts(const std::string& dir,
         embedded.circuit != key.circuit       ? "circuit structure"
         : embedded.testbench != key.testbench ? "testbench content"
         : embedded.config_rule != key.config_rule ? "config rule tag"
-        : embedded.optimizer != key.optimizer ? "optimizer pipeline"
-                                              : "artifact shape";
+                                                  : "optimizer pipeline";
     res.status = ArtifactCacheStatus::kMismatch;
     res.detail = std::string("entry keyed for different ") + culprit + " (" +
                  path + ")";
@@ -339,10 +332,7 @@ ArtifactLoadResult load_artifacts(const std::string& dir,
   if (!take_trace(r, circuit, b.golden)) {
     return corrupt("malformed golden-trace section");
   }
-  std::uint8_t has_opt_kernel = 0;
-  if (!r.get(has_opt_kernel) || has_opt_kernel > 1 ||
-      (has_opt_kernel != 0 &&
-       !ArtifactCacheAccess::load_kernel(r, circuit, b.opt_kernel))) {
+  if (!ArtifactCacheAccess::load_kernel(r, circuit, b.opt_kernel)) {
     return corrupt("malformed optimized-kernel section");
   }
   if (r.pos != r.size) {
@@ -369,13 +359,9 @@ ArtifactStoreResult store_artifacts(const std::string& dir,
   put<std::uint64_t>(payload, key.testbench);
   put<std::uint64_t>(payload, key.config_rule);
   put<std::uint64_t>(payload, key.optimizer);
-  put<std::uint64_t>(payload, key.shape);
 
   put_trace(payload, *view.golden);
-  put<std::uint8_t>(payload, view.opt_kernel != nullptr ? 1 : 0);
-  if (view.opt_kernel != nullptr) {
-    ArtifactCacheAccess::save_kernel(payload, *view.opt_kernel);
-  }
+  ArtifactCacheAccess::save_kernel(payload, *view.opt_kernel);
 
   Fnv64 sum;
   sum.bytes(payload.data(), payload.size());

@@ -15,31 +15,28 @@ namespace femu {
 // ---- persistent content-addressed artifact cache ---------------------------
 //
 // Every campaign over the same (circuit, testbench) recomputes the same
-// setup artifacts: the golden trace and the optimized kernel. Neither
-// depends on the fault list or on any engine knob beyond the artifact
-// *shape* (optimized kernel or not) — the same invariance contract the
-// journal's CampaignFingerprint encodes. This cache persists them on disk
+// setup artifacts: the golden trace and the FF-model optimized kernel.
+// Neither depends on the fault list or on any engine knob — the same
+// invariance contract the journal's CampaignFingerprint encodes. This cache persists them on disk
 // keyed by content hashes, so the hardening-loop pattern — near-identical
 // campaigns in a tight loop — pays setup once.
 //
 // Key derivation (vs CampaignFingerprint): the `circuit`, `testbench` and
 // `config` (rule tag) components are the exact journal hashes; the `faults`
 // and `model` components are deliberately DROPPED (no setup artifact depends
-// on them), and two cache-only components are added: an optimizer hash
-// (pass-pipeline version + preserve-set tag) and a shape hash. Engine knobs
-// (lanes, threads) stay excluded, matching the journal's outcome-invariance
-// contract — with one nuance: the knob that picks WHICH artifacts exist
-// (optimize) folds into the shape hash, so each shape is its own entry and
-// a load either supplies everything construction needs or nothing.
+// on them), and one cache-only component is added: the optimizer
+// pass-pipeline hash. Engine knobs (lanes, threads) stay excluded, matching
+// the journal's outcome-invariance contract, so a load either supplies
+// everything construction needs or nothing.
 //
 // On-disk format (FaultDictionary-style, host-endian, one file per key):
 //
 //   8-byte magic "FEMUART\0", then the payload:
 //     u32 format version
-//     the five key hashes (u64 each)
+//     the four key hashes (u64 each)
 //     golden trace        — states then outputs, as length-prefixed BitVecs
-//     u8 presence flag, then (when set) the optimized kernel — dims +
-//       instruction stream + index tables + OptStats
+//     the FF-model optimized kernel — dims + instruction stream + index
+//       tables + OptStats
 //   u64 FNV-1a checksum over the payload
 //
 // Stores write `<file>.tmp` then atomically rename, so a crash can never
@@ -54,29 +51,21 @@ struct ArtifactCacheKey {
   std::uint64_t testbench = 0;  ///< testbench_content_hash
   std::uint64_t config_rule = 0;  ///< campaign_config_rule_hash
   std::uint64_t optimizer = 0;  ///< optimizer_pipeline_hash
-  std::uint64_t shape = 0;      ///< artifact_shape_hash
 
   friend bool operator==(const ArtifactCacheKey&,
                          const ArtifactCacheKey&) = default;
 
-  /// FNV-1a over the five components — the content address.
+  /// FNV-1a over the four components — the content address.
   [[nodiscard]] std::uint64_t combined() const;
 
   /// Entry file name inside the cache dir: "femu-<combined hex>.artifact".
   [[nodiscard]] std::string file_name() const;
 };
 
-/// Hash of the kernel-optimizer configuration a cached optimized kernel was
-/// built under: whether the pass pipeline runs at all and its version tag,
-/// plus the preserve set (the engine's cached FF-model kernel preserves
-/// nothing — sorted site preserves are per-run and never cached). Bump the
-/// tag when a pass changes codegen.
-[[nodiscard]] std::uint64_t optimizer_pipeline_hash(
-    bool optimize, std::span<const NodeId> preserve = {});
-
-/// Hash of the artifact shape construction will materialize: whether an
-/// optimized kernel is cached next to the golden trace.
-[[nodiscard]] std::uint64_t artifact_shape_hash(bool opt_kernel);
+/// Hash of the kernel-optimizer pass pipeline the cached FF-model kernel
+/// (empty preserve set) was built under. Bump its version tag when a pass
+/// changes codegen.
+[[nodiscard]] std::uint64_t optimizer_pipeline_hash();
 
 enum class ArtifactCacheStatus : std::uint8_t {
   kHit,          ///< entry validated and adopted
@@ -92,7 +81,7 @@ enum class ArtifactCacheStatus : std::uint8_t {
 /// Deserialized setup artifacts, ready for the engine to adopt.
 struct ArtifactBundle {
   GoldenTrace golden;
-  std::shared_ptr<const CompiledKernel> opt_kernel;  // null when absent
+  std::shared_ptr<const CompiledKernel> opt_kernel;
 };
 
 struct ArtifactLoadResult {
@@ -111,8 +100,8 @@ struct ArtifactLoadResult {
                                                 const ArtifactCacheKey& key,
                                                 const Circuit& circuit);
 
-/// Non-owning view of the artifacts one construction produced. `golden` is
-/// required; a null opt_kernel marks a shape without one.
+/// Non-owning view of the artifacts one construction produced; both are
+/// required.
 struct ArtifactStoreView {
   const GoldenTrace* golden = nullptr;
   const CompiledKernel* opt_kernel = nullptr;

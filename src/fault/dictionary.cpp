@@ -188,16 +188,24 @@ FaultDictionary FaultDictionary::load(std::istream& in) {
   FEMU_CHECK(version == kDictVersion, "dictionary: format v", version,
              ", expected v", kDictVersion);
 
+  // Every count is bounded by the bytes left before it sizes anything, so a
+  // corrupt (checksum-resealed) count fails as a femu::Error instead of
+  // driving a giant allocation.
+  const auto remaining = [&] { return payload.size() - pos; };
   FaultDictionary dict;
   std::uint64_t num_outputs = 0;
   take(payload, pos, num_outputs);
+  FEMU_CHECK(num_outputs <= remaining() / (2 * sizeof(std::uint64_t)),
+             "dictionary: output count ", num_outputs, " exceeds the file");
   dict.golden_outputs_.reserve(num_outputs);
   for (std::uint64_t i = 0; i < num_outputs; ++i) {
     std::uint64_t bits = 0;
     std::uint64_t words = 0;
     take(payload, pos, bits);
     take(payload, pos, words);
-    FEMU_CHECK(words == (bits + 63) / 64, "dictionary: bad bit-vector shape");
+    FEMU_CHECK(words <= remaining() / sizeof(std::uint64_t) &&
+                   words == (bits + 63) / 64 && bits <= words * 64,
+               "dictionary: bad bit-vector shape");
     BitVec v(bits);
     for (std::uint64_t w = 0; w < words; ++w) {
       std::uint64_t word = 0;
@@ -211,8 +219,13 @@ FaultDictionary FaultDictionary::load(std::istream& in) {
     dict.golden_outputs_.push_back(std::move(v));
   }
 
+  // One entry: ff_index, cycle, detect cycle (u32 each), syndrome hash.
+  constexpr std::size_t kEntryBytes = 3 * sizeof(std::uint32_t) +
+                                      sizeof(std::uint64_t);
   std::uint64_t num_entries = 0;
   take(payload, pos, num_entries);
+  FEMU_CHECK(num_entries <= remaining() / kEntryBytes,
+             "dictionary: entry count ", num_entries, " exceeds the file");
   for (std::uint64_t i = 0; i < num_entries; ++i) {
     Fault fault;
     FaultSignature sig;

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "common/error.h"
 #include "fault/fault.h"
@@ -26,7 +25,9 @@ namespace femu {
 ///                         string the CLI/bench JSON reports
 ///   kUsesOverlay        — the fault enters through the kernel's
 ///                         instruction-stream overlay (compiled backend
-///                         only) instead of state-bit flips before eval
+///                         only) instead of state-bit flips before eval;
+///                         overlay campaigns run the raw kernel, state-bit
+///                         ones the FF-model optimized kernel
 ///   kOverlayOp          — which overlay op the model emits (see
 ///                         CompiledKernel::OverlayEntry's op table)
 ///   kOverlayEveryCycle  — the overlay applies on every cycle (permanent
@@ -44,13 +45,6 @@ namespace femu {
 ///   cycle/schedule_site — the (cycle, site) schedule key of a fault
 ///   inject              — state-bit entry (no-op for overlay models)
 ///   overlay_node/entry  — overlay destination and op-tagged lane masks
-///   collect_preserve    — the model's injectable-node set: every node id a
-///                         campaign over these faults may target with an
-///                         overlay, appended to the kernel optimizer's
-///                         preserve set (see sim/kernel_opt.h) so injection
-///                         sites stay materialized. State-injection models
-///                         (SEU/MBU) contribute nothing and optimize
-///                         maximally; overlay models push their rep sites
 ///   validate            — per-fault precondition checks
 ///
 /// Adding a fault model = adding a FaultT, one specialization here, and a
@@ -98,9 +92,6 @@ struct FaultModelTraits<FaultModel::kSeu> {
   static constexpr std::uint32_t overlay_node(const FaultT&) noexcept {
     return kInvalidNode;
   }
-  /// State-bit injection only — no gate slot needs materializing.
-  static void collect_preserve(std::span<const FaultT>,
-                               std::vector<NodeId>&) {}
   static void validate(const Circuit& circuit, std::size_t num_cycles,
                        const FaultT& f) {
     FEMU_CHECK(f.cycle < num_cycles, "fault cycle ", f.cycle,
@@ -137,9 +128,6 @@ struct FaultModelTraits<FaultModel::kMbu> {
   static constexpr std::uint32_t overlay_node(const FaultT&) noexcept {
     return kInvalidNode;
   }
-  /// State-bit injection only — no gate slot needs materializing.
-  static void collect_preserve(std::span<const FaultT>,
-                               std::vector<NodeId>&) {}
   static void validate(const Circuit& circuit, std::size_t num_cycles,
                        const FaultT& f) {
     FEMU_CHECK(f.cycle < num_cycles, "MBU cycle ", f.cycle,
@@ -178,11 +166,6 @@ struct FaultModelTraits<FaultModel::kSet> {
                                                           unsigned lane) {
     return CompiledKernel::overlay_xor<Word>(
         dest, LaneTraits<Word>::lane_bit(lane));
-  }
-  /// Overlay-borne: every (collapsed) rep site must stay materialized.
-  static void collect_preserve(std::span<const FaultT> faults,
-                               std::vector<NodeId>& preserve) {
-    for (const FaultT& f : faults) preserve.push_back(f.node);
   }
   /// Pulse-width thinning: lanes at sub-full width draw a per-destination-FF
   /// setup-window-overlap decision (set_pulse_latches).
@@ -232,11 +215,6 @@ struct FaultModelTraits<FaultModel::kStuckAt> {
                                                           unsigned lane) {
     return CompiledKernel::overlay_force<Word>(
         dest, LaneTraits<Word>::lane_bit(lane), f.stuck_one);
-  }
-  /// Overlay-borne and permanent: every fault node must stay materialized.
-  static void collect_preserve(std::span<const FaultT> faults,
-                               std::vector<NodeId>& preserve) {
-    for (const FaultT& f : faults) preserve.push_back(f.node);
   }
   static void validate(const Circuit& circuit, std::size_t /*num_cycles*/,
                        const FaultT& f) {

@@ -165,7 +165,6 @@ ParallelFaultSimulator::ParallelFaultSimulator(const Circuit& circuit,
   // compiled-backend only.
   const bool cache_on =
       !config_.cache_dir.empty() && config_.backend == SimBackend::kCompiled;
-  const bool cache_opt_kernel = cache_on && config_.optimize;
   ArtifactCacheKey cache_key;
   ArtifactBundle cached;
   bool cache_hit = false;
@@ -175,8 +174,7 @@ ParallelFaultSimulator::ParallelFaultSimulator(const Circuit& circuit,
     cache_key.circuit = circuit_structure_hash(circuit);
     cache_key.testbench = testbench_content_hash(testbench);
     cache_key.config_rule = campaign_config_rule_hash();
-    cache_key.optimizer = optimizer_pipeline_hash(config_.optimize);
-    cache_key.shape = artifact_shape_hash(cache_opt_kernel);
+    cache_key.optimizer = optimizer_pipeline_hash();
     ArtifactLoadResult loaded =
         load_artifacts(config_.cache_dir, cache_key, circuit);
     telem_.cache_bytes_read = loaded.bytes;
@@ -196,8 +194,8 @@ ParallelFaultSimulator::ParallelFaultSimulator(const Circuit& circuit,
   }
 
   // The raw kernel is always compiled fresh: it binds the live circuit,
-  // site-keyed optimizations re-run from it per preserve set, and compiling
-  // is orders of magnitude cheaper than the phases the cache skips.
+  // overlay models run it directly, and compiling is orders of magnitude
+  // cheaper than the phases the cache skips.
   if (config_.backend == SimBackend::kCompiled) {
     obs::PhaseSpan span(config_.telemetry, "compile");
     WallTimer timer;
@@ -226,9 +224,9 @@ ParallelFaultSimulator::ParallelFaultSimulator(const Circuit& circuit,
   // it eagerly so the stored entry is complete and the first select_run_kernel
   // gets it for free. Its build time lands in compile_seconds (kernel
   // preparation); select_run_kernel's opt_seconds stays a cache-miss meter.
-  if (cached.opt_kernel != nullptr) {
+  if (cache_hit) {
     opt_kernel_ff_ = std::move(cached.opt_kernel);
-  } else if (cache_opt_kernel) {
+  } else if (cache_on) {
     obs::PhaseSpan span(config_.telemetry, "optimize");
     WallTimer timer;
     opt_kernel_ff_ = optimize_kernel(kernel_, {});
@@ -254,49 +252,29 @@ ParallelFaultSimulator::ParallelFaultSimulator(const Circuit& circuit,
   }
 }
 
-void ParallelFaultSimulator::select_run_kernel(std::vector<NodeId> preserve) {
-  if (kernel_ == nullptr || !config_.optimize) {
-    run_kernel_ = kernel_;  // raw stream (or interpreted: no kernel at all)
+void ParallelFaultSimulator::select_run_kernel(bool overlay_model) {
+  if (kernel_ == nullptr || overlay_model) {
+    // Interpreted (no kernel at all), or an overlay model whose injection
+    // sites must stay materialized: the raw stream runs.
+    run_kernel_ = kernel_;
     telem_.opt_seconds = 0.0;
     telem_.opt_raw_instrs = telem_.opt_instrs = 0;
     telem_.opt_absorbed = telem_.opt_folded = telem_.opt_dead = 0;
-    telem_.opt_preserved = 0;
     if (config_.telemetry != nullptr) {
-      config_.telemetry->record_optimizer(0, 0, 0, 0, 0, 0);
+      config_.telemetry->record_optimizer(0, 0, 0, 0, 0);
     }
     return;
   }
-  std::sort(preserve.begin(), preserve.end());
-  preserve.erase(std::unique(preserve.begin(), preserve.end()),
-                 preserve.end());
+  // State-bit models inject into state words, never gate slots: one
+  // maximally-optimized kernel serves every such run.
   double build_seconds = 0.0;
-  if (preserve.empty()) {
-    // FF-keyed models (SEU/MBU) inject into state words, never gate slots:
-    // one maximally-optimized kernel serves every such run.
-    if (opt_kernel_ff_ == nullptr) {
-      obs::PhaseSpan span(config_.telemetry, "optimize");
-      WallTimer timer;
-      opt_kernel_ff_ = optimize_kernel(kernel_, preserve);
-      build_seconds = timer.elapsed_seconds();
-    }
-    run_kernel_ = opt_kernel_ff_;
-  } else {
-    // Site-keyed models: a kernel optimized under a superset preserve set is
-    // sound (just less optimized), so reuse the cached one while this run's
-    // sites are a subset of what it keeps materialized.
-    const bool subset =
-        opt_kernel_site_ != nullptr &&
-        std::includes(site_preserve_.begin(), site_preserve_.end(),
-                      preserve.begin(), preserve.end());
-    if (!subset) {
-      obs::PhaseSpan span(config_.telemetry, "optimize");
-      WallTimer timer;
-      opt_kernel_site_ = optimize_kernel(kernel_, preserve);
-      build_seconds = timer.elapsed_seconds();
-      site_preserve_ = std::move(preserve);
-    }
-    run_kernel_ = opt_kernel_site_;
+  if (opt_kernel_ff_ == nullptr) {
+    obs::PhaseSpan span(config_.telemetry, "optimize");
+    WallTimer timer;
+    opt_kernel_ff_ = optimize_kernel(kernel_, {});
+    build_seconds = timer.elapsed_seconds();
   }
+  run_kernel_ = opt_kernel_ff_;
   const CompiledKernel::OptStats& stats = run_kernel_->opt_stats();
   telem_.opt_seconds = build_seconds;
   telem_.opt_raw_instrs = stats.raw_instrs;
@@ -304,11 +282,10 @@ void ParallelFaultSimulator::select_run_kernel(std::vector<NodeId> preserve) {
   telem_.opt_absorbed = stats.absorbed;
   telem_.opt_folded = stats.folded;
   telem_.opt_dead = stats.dead;
-  telem_.opt_preserved = stats.preserved;
   if (config_.telemetry != nullptr) {
     config_.telemetry->record_optimizer(stats.raw_instrs, stats.opt_instrs,
                                         stats.absorbed, stats.folded,
-                                        stats.dead, stats.preserved);
+                                        stats.dead);
   }
 }
 
@@ -380,14 +357,7 @@ void ParallelFaultSimulator::run_model(
     Traits::validate(circuit_, num_cycles, fault);
   }
 
-  // Resolve the instruction stream this run executes: the raw kernel, or an
-  // optimized clone whose preserve set covers every injection site in this
-  // fault list (cached — see select_run_kernel).
-  {
-    std::vector<NodeId> preserve;
-    Traits::collect_preserve(faults, preserve);
-    select_run_kernel(std::move(preserve));
-  }
+  select_run_kernel(Traits::kUsesOverlay);
 
   // Planning span covers the schedule sort and the permuted copy. Taken
   // manually (not PhaseSpan) because the planned vectors must outlive the
@@ -418,7 +388,6 @@ void ParallelFaultSimulator::run_model(
   telem_.group_widths = {};
   switch (lanes_) {
     case LaneWidth::k64: telem_.group_widths.g64 = num_groups; break;
-    case LaneWidth::k256: telem_.group_widths.g256 = num_groups; break;
     case LaneWidth::k512: telem_.group_widths.g512 = num_groups; break;
   }
   telem_.lane_occupancy =
@@ -520,7 +489,6 @@ void ParallelFaultSimulator::run_model(
     };
     switch (lanes_) {
       case LaneWidth::k64: shard.template operator()<std::uint64_t>(); break;
-      case LaneWidth::k256: shard.template operator()<Word256>(); break;
       case LaneWidth::k512: shard.template operator()<Word512>(); break;
     }
   } else if constexpr (!View::kHasOverlay) {

@@ -21,8 +21,8 @@ namespace femu {
 
 /// How many faulty machines one lane word carries.
 enum class LaneWidth : std::uint32_t {
-  k64 = 64,    ///< one uint64_t per signal (classic bit-parallel width)
-  k256 = 256,  ///< four uint64_t per signal — 4x faults per pass
+  k64 = 64,    ///< one uint64_t per signal (classic bit-parallel width;
+               ///< the interpreted backend's only width)
   k512 = 512,  ///< eight uint64_t per signal — one zmm register / cache
                ///< line per signal; AVX-512 when the host has it, portable
                ///< limbs otherwise (see sim/simd_dispatch.h)
@@ -35,8 +35,7 @@ enum class LaneWidth : std::uint32_t {
 /// Campaign engine configuration.
 ///
 /// The default — compiled kernel, 512 lanes, one worker per hardware
-/// thread, optimized kernel — is the fastest portable setting. The
-/// interpreted backend is the original engine, kept selectable as the
+/// thread — is the fastest portable setting. The interpreted backend is the original engine, kept selectable as the
 /// cross-validation oracle the compiled path is checked against; it always
 /// runs 64 lanes and ignores `lanes`.
 struct CampaignConfig {
@@ -45,17 +44,6 @@ struct CampaignConfig {
   LaneWidth lanes = LaneWidth::k512;
   /// Worker threads for pool sharding; 0 = std::thread::hardware_concurrency().
   unsigned num_threads = 0;
-  /// Run campaigns on an optimizer-processed kernel (sim/kernel_opt.h):
-  /// inverter/buffer absorption into per-operand complement flags, constant
-  /// folding and dead-logic elimination, under the model's injection-site
-  /// preserve set (FaultModelTraits::collect_preserve) so overlay sites
-  /// stay materialized. Compiled backend only (the interpreted backend is
-  /// the unoptimized cross-validation oracle); classifications are
-  /// bit-identical on vs off for every model, lane width and thread count —
-  /// off is the A/B baseline benches measure the instruction reduction
-  /// against. The golden trace is always derived from the raw kernel; only
-  /// the executed instruction stream changes.
-  bool optimize = true;
   /// Telemetry sink (not owned; must outlive the engine). Null — the
   /// default — is the near-zero-cost fast path: the engine takes no
   /// per-batch timestamps and records nothing. When attached, the engine
@@ -69,8 +57,8 @@ struct CampaignConfig {
   /// (fault/artifact_cache.h). Empty — the default — disables caching.
   /// Compiled backend only. When set, construction first tries to adopt the
   /// cached setup artifacts (golden trace, optimized FF-model kernel) keyed
-  /// by circuit/testbench/config-rule content hashes plus optimizer and
-  /// shape hashes; any invalid entry degrades totally-and-warned to a
+  /// by circuit/testbench/config-rule content hashes plus the optimizer
+  /// pipeline hash; any invalid entry degrades totally-and-warned to a
   /// rebuild, and every miss stores the rebuilt artifacts via tmp + atomic
   /// rename. Outcome-neutral: classifications and work metrics are
   /// bit-identical cold vs warm.
@@ -339,16 +327,14 @@ class ParallelFaultSimulator {
   void run_model(std::span<const typename Traits::FaultT> faults,
                  std::span<FaultOutcome> outcomes);
 
-  /// Resolves the kernel the next run executes: the raw kernel when the
-  /// optimizer is off (or the backend interpreted), otherwise a cached
-  /// optimized clone for `preserve` (the campaign's injection-site set,
-  /// from FaultModelTraits::collect_preserve). An empty set — SEU/MBU —
-  /// shares one maximally-optimized kernel across runs; site-keyed
-  /// campaigns reuse the cached site kernel when their sites are a subset
-  /// of the set it preserves (a superset preserve set is sound, just less
-  /// optimized) and rebuild otherwise. Sets run_kernel_ and the telemetry
-  /// optimizer counters.
-  void select_run_kernel(std::vector<NodeId> preserve);
+  /// Resolves the kernel the next run executes from the model: state-bit
+  /// models (SEU/MBU) run the FF-model optimized kernel (sim/kernel_opt.h,
+  /// empty preserve set), built on first use and kept across runs; overlay
+  /// models (SET/stuck-at) inject into gate slots and run the raw kernel,
+  /// as does the interpreted backend (no kernel at all). Sets run_kernel_
+  /// and the telemetry optimizer counters, which read zero on the raw
+  /// kernel.
+  void select_run_kernel(bool overlay_model);
 
   const Circuit& circuit_;
   const Testbench& testbench_;
@@ -358,14 +344,10 @@ class ParallelFaultSimulator {
   LaneWidth lanes_ = LaneWidth::k64;
   GoldenTrace golden_;
   std::shared_ptr<const CompiledKernel> kernel_;  // null when interpreted
-  /// Optimized kernel clones (sim/kernel_opt.h), built lazily per preserve
-  /// shape and cached across runs: one for FF-keyed campaigns (empty
-  /// preserve set — maximal optimization) and one for the latest site-keyed
-  /// preserve set (reused while subsequent runs' sites stay a subset).
-  /// kernel_ itself always stays the raw kernel the golden trace came from.
+  /// The FF-model optimized kernel (empty preserve set), built lazily or
+  /// adopted from the artifact cache. kernel_ itself always stays the raw
+  /// kernel the golden trace came from.
   std::shared_ptr<const CompiledKernel> opt_kernel_ff_;
-  std::shared_ptr<const CompiledKernel> opt_kernel_site_;
-  std::vector<NodeId> site_preserve_;  // sorted sites opt_kernel_site_ keeps
   /// The kernel the current run executes (set by select_run_kernel at the
   /// top of run_model; campaign runs are serial per simulator object, and
   /// worker scratch never outlives a run, so per-run selection is safe).

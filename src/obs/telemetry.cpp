@@ -64,8 +64,7 @@ TelemetryCollector::TelemetryCollector() {
   g_opt_absorbed_ = registry_.add_gauge("kernel_opt_absorbed", "instructions");
   g_opt_folded_ = registry_.add_gauge("kernel_opt_folded", "instructions");
   g_opt_dead_ = registry_.add_gauge("kernel_opt_dead", "instructions");
-  g_opt_preserved_ = registry_.add_gauge("kernel_opt_preserved", "sites");
-  h_width_ = registry_.add_histogram("group_width", "lanes", {64, 256, 512});
+  h_width_ = registry_.add_histogram("group_width", "lanes", {64, 512});
   h_occupancy_ = registry_.add_histogram("group_occupancy_pct", "percent",
                                          linear_bounds(10, 10));
   h_narrow_depth_ = registry_.add_histogram("narrowing_depth", "rederivations",
@@ -138,13 +137,12 @@ void TelemetryCollector::record_flush(std::uint64_t begin_ns,
 
 void TelemetryCollector::record_optimizer(
     std::uint64_t raw_instrs, std::uint64_t opt_instrs, std::uint64_t absorbed,
-    std::uint64_t folded, std::uint64_t dead, std::uint64_t preserved) {
+    std::uint64_t folded, std::uint64_t dead) {
   total_.set(g_opt_raw_instrs_, raw_instrs);
   total_.set(g_opt_instrs_, opt_instrs);
   total_.set(g_opt_absorbed_, absorbed);
   total_.set(g_opt_folded_, folded);
   total_.set(g_opt_dead_, dead);
-  total_.set(g_opt_preserved_, preserved);
 }
 
 void TelemetryCollector::record_lane_cycles(std::uint64_t live,

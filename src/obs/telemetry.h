@@ -16,7 +16,7 @@ class TelemetryCollector;
 
 /// Lane-width groups one run dealt to its pools, per width tier (the
 /// engine keeps the alias ParallelFaultSimulator::GroupWidthCounts). Only
-/// the run's lane width is non-zero.
+/// the run's lane width is non-zero; g256 has no lane width and reads 0.
 struct GroupWidthCounts {
   std::uint64_t g64 = 0;
   std::uint64_t g256 = 0;
@@ -67,16 +67,16 @@ struct CampaignTelemetry {
   double lane_cycle_occupancy = 1.0;
 
   // Kernel optimizer (sim/kernel_opt.h) accounting for the kernel the last
-  // run executed. All zero when the optimizer is off or the backend is
-  // interpreted; opt_seconds counts only cache-miss builds (a run that
-  // reuses a cached optimized kernel reports the reduction at zero cost).
+  // run executed. All zero when the run executed the raw kernel (overlay
+  // models, interpreted backend); opt_seconds counts only the lazy build of
+  // the FF-model kernel (a run that reuses it reports the reduction at zero
+  // cost).
   double opt_seconds = 0.0;          ///< optimizer pass time (cache misses)
   std::uint64_t opt_raw_instrs = 0;  ///< instruction count before passes
   std::uint64_t opt_instrs = 0;      ///< instruction count actually executed
   std::uint64_t opt_absorbed = 0;    ///< BUF/NOT absorbed into operand flags
   std::uint64_t opt_folded = 0;      ///< instructions folded to constants
   std::uint64_t opt_dead = 0;        ///< unobservable instructions eliminated
-  std::uint64_t opt_preserved = 0;   ///< injection sites kept materialized
 
   [[nodiscard]] double bytes_per_instr() const noexcept {
     return eval_instrs != 0 ? static_cast<double>(eval_slot_bytes) /
@@ -155,11 +155,11 @@ class TelemetryCollector {
 
   /// Kernel-optimizer accounting of the stream the run executes (gauges:
   /// last run wins — the stats describe a kernel, not an accumulation).
-  /// Campaign-thread only, before workers spawn. All-zero when the
-  /// optimizer is off or the backend is interpreted.
+  /// Campaign-thread only, before workers spawn. All-zero when the run
+  /// executes the raw kernel (overlay models, interpreted backend).
   void record_optimizer(std::uint64_t raw_instrs, std::uint64_t opt_instrs,
                         std::uint64_t absorbed, std::uint64_t folded,
-                        std::uint64_t dead, std::uint64_t preserved);
+                        std::uint64_t dead);
 
   /// Lane-cycle accounting of one run: counters `live_lane_cycles` and
   /// `lane_cycles` (evals × lane width) plus the gauge
@@ -203,7 +203,7 @@ class TelemetryCollector {
   CounterId c_live_lane_cycles_, c_lane_cycles_;
   GaugeId peak_occupancy_, g_lane_cycle_occupancy_;
   GaugeId g_opt_raw_instrs_, g_opt_instrs_, g_opt_absorbed_, g_opt_folded_,
-      g_opt_dead_, g_opt_preserved_;
+      g_opt_dead_;
   HistogramId h_width_, h_occupancy_, h_narrow_depth_, h_group_ns_,
       h_flush_ns_;
 

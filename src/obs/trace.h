@@ -25,7 +25,7 @@ struct TraceEvent {
   std::uint64_t begin_ns = 0;
   std::uint64_t end_ns = 0;
   bool has_args = false;
-  std::uint32_t width = 0;        ///< lane-group word width (64/256/512)
+  std::uint32_t width = 0;        ///< lane-group word width (64/512)
   std::uint32_t live = 0;         ///< occupied lanes in the group
   std::uint32_t narrowings = 0;   ///< narrowing re-derivations inside the group
   std::uint64_t cone_instrs = 0;  ///< kernel instructions evaluated

@@ -42,8 +42,7 @@ enum class SimBackend : std::uint8_t {
 /// serves any number of engines concurrently (the threaded campaign sharder
 /// builds one kernel and hands it to every worker). The eval loop is
 /// templated on the lane word type, so the same program runs the scalar
-/// (Word8), 64-lane (uint64_t), 256-lane (Word256) and 512-lane (Word512)
-/// engines.
+/// (Word8), 64-lane (uint64_t) and 512-lane (Word512) engines.
 class CompiledKernel {
  public:
   struct Instr {
@@ -316,9 +315,8 @@ void CompiledKernel::eval_instrs_overlay<Word512>(
 /// Generic lane-parallel engine executing a CompiledKernel.
 ///
 /// One instantiation per lane width: LaneEngine<Word8> is the compiled
-/// scalar machine, LaneEngine<std::uint64_t> the 64-lane machine,
-/// LaneEngine<Word256> and LaneEngine<Word512> the 256- and 512-lane
-/// machines. Lane k of every value word carries machine k. Stimuli and
+/// scalar machine, LaneEngine<std::uint64_t> the 64-lane machine and
+/// LaneEngine<Word512> the 512-lane machine. Lane k of every value word carries machine k. Stimuli and
 /// golden comparisons take the bit-packed golden vectors and broadcast each
 /// bit as it is read — one mask per signal, never a materialized per-cycle
 /// lane-word image.

@@ -43,12 +43,13 @@ namespace femu {
 /// always keep an instruction (rewritten in place, never re-ordered) and
 /// are never aliased or folded away from their consumers. SEU/MBU inject
 /// into flip-flop state words, not gate slots, so they pass an empty set
-/// and optimize maximally; SET/stuck-at pass their collapsed rep-site set
-/// (see FaultModelTraits::collect_preserve). A materialized instruction
-/// whose value proves constant is re-emitted as `XOR(x,x)`/`XNOR(x,x)` of
-/// a live operand (or, when every operand folded, its original fanin chain
-/// is re-materialized), so its slot is still computed in-stream and
-/// overlayable.
+/// and optimize maximally (the campaign engine's FF-model kernel). The
+/// engine runs SET/stuck-at campaigns on the raw kernel; a caller
+/// optimizing for overlay injection passes its site set. A materialized
+/// instruction whose value proves constant is re-emitted as
+/// `XOR(x,x)`/`XNOR(x,x)` of a live operand (or, when every operand
+/// folded, its original fanin chain is re-materialized), so its slot is
+/// still computed in-stream and overlayable.
 ///
 /// Destination order is untouched (instructions are deleted or rewritten
 /// in place), so the program stays dest-ascending — the overlay-merge

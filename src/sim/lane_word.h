@@ -15,7 +15,6 @@ namespace femu {
 ///
 ///   Word8    — 1 meaningful lane stored as a full byte mask (scalar engine)
 ///   uint64_t — 64 lanes, the classic bit-parallel fault-simulation width
-///   Word256  — 256 lanes (4 x uint64_t), grading 4x more faults per pass
 ///   Word512  — 512 lanes (8 x uint64_t, one AVX-512 zmm register)
 ///
 /// Lane masks reuse the word type itself: bit k of a mask refers to lane k.
@@ -31,32 +30,6 @@ namespace femu {
 /// Scalar word: a single lane broadcast across 8 bits (0x00 or 0xFF), so ~a
 /// stays canonical without masking. Used by the compiled scalar backend.
 using Word8 = std::uint8_t;
-
-/// 256-lane word: four 64-bit limbs, lane k lives in limb k/64 bit k%64.
-struct Word256 {
-  std::array<std::uint64_t, 4> w{0, 0, 0, 0};
-
-  friend constexpr Word256 operator&(Word256 a, Word256 b) noexcept {
-    return {{a.w[0] & b.w[0], a.w[1] & b.w[1], a.w[2] & b.w[2],
-             a.w[3] & b.w[3]}};
-  }
-  friend constexpr Word256 operator|(Word256 a, Word256 b) noexcept {
-    return {{a.w[0] | b.w[0], a.w[1] | b.w[1], a.w[2] | b.w[2],
-             a.w[3] | b.w[3]}};
-  }
-  friend constexpr Word256 operator^(Word256 a, Word256 b) noexcept {
-    return {{a.w[0] ^ b.w[0], a.w[1] ^ b.w[1], a.w[2] ^ b.w[2],
-             a.w[3] ^ b.w[3]}};
-  }
-  friend constexpr Word256 operator~(Word256 a) noexcept {
-    return {{~a.w[0], ~a.w[1], ~a.w[2], ~a.w[3]}};
-  }
-  constexpr Word256& operator&=(Word256 o) noexcept { return *this = *this & o; }
-  constexpr Word256& operator|=(Word256 o) noexcept { return *this = *this | o; }
-  constexpr Word256& operator^=(Word256 o) noexcept { return *this = *this ^ o; }
-
-  friend constexpr bool operator==(const Word256&, const Word256&) = default;
-};
 
 /// 512-lane word: eight 64-bit limbs, lane k lives in limb k/64 bit k%64.
 /// 64-byte size and alignment — exactly one zmm register / one cache line
@@ -145,45 +118,6 @@ struct LaneTraits<std::uint64_t> {
   }
   static constexpr std::uint64_t first_n(std::size_t n) noexcept {
     return n >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << n) - 1);
-  }
-};
-
-template <>
-struct LaneTraits<Word256> {
-  static constexpr std::size_t kLanes = 256;
-  static constexpr Word256 zero() noexcept { return {}; }
-  static constexpr Word256 ones() noexcept {
-    return {{~std::uint64_t{0}, ~std::uint64_t{0}, ~std::uint64_t{0},
-             ~std::uint64_t{0}}};
-  }
-  static constexpr Word256 broadcast(bool bit) noexcept {
-    return bit ? ones() : zero();
-  }
-  static constexpr Word256 lane_bit(unsigned lane) noexcept {
-    Word256 out;
-    out.w[lane / 64] = std::uint64_t{1} << (lane % 64);
-    return out;
-  }
-  static constexpr bool test(const Word256& w, unsigned lane) noexcept {
-    return ((w.w[lane / 64] >> (lane % 64)) & 1) != 0;
-  }
-  static constexpr bool any(const Word256& w) noexcept {
-    return (w.w[0] | w.w[1] | w.w[2] | w.w[3]) != 0;
-  }
-  static constexpr std::size_t count(const Word256& w) noexcept {
-    return static_cast<std::size_t>(std::popcount(w.w[0]) +
-                                    std::popcount(w.w[1]) +
-                                    std::popcount(w.w[2]) +
-                                    std::popcount(w.w[3]));
-  }
-  static constexpr Word256 first_n(std::size_t n) noexcept {
-    Word256 out;
-    for (std::size_t i = 0; i < 4; ++i) {
-      const std::size_t lo = i * 64;
-      if (n <= lo) break;
-      out.w[i] = LaneTraits<std::uint64_t>::first_n(n - lo);
-    }
-    return out;
   }
 };
 

@@ -1,7 +1,7 @@
 #pragma once
 
 // The compiled engine configurations the campaign cross-validation suites
-// sweep: lanes {64, 256, 512} x threads {1, 4}. Every entry must grade
+// sweep: lanes {64, 512} x threads {1, 4}. Every entry must grade
 // exactly like the serial simulators and the interpreted backend.
 
 #include <string>
@@ -13,8 +13,7 @@ namespace femu {
 
 inline std::vector<CampaignConfig> compiled_engine_matrix() {
   std::vector<CampaignConfig> configs;
-  for (const LaneWidth lanes :
-       {LaneWidth::k64, LaneWidth::k256, LaneWidth::k512}) {
+  for (const LaneWidth lanes : {LaneWidth::k64, LaneWidth::k512}) {
     for (const unsigned threads : {1u, 4u}) {
       configs.push_back({SimBackend::kCompiled, lanes, threads});
     }

@@ -1,9 +1,9 @@
 // The persistent artifact cache's contract: a warm load is bit-identical to
-// a cold build (same golden trace, optimized kernel, classifications — for every fault
-// model and thread count), the key derivation matches what the engine
-// computes, and every bad-entry flavor — corrupt bytes, truncation, version
-// skew, a foreign fingerprint, a netlist edit — degrades to a warned rebuild
-// that still grades correctly.
+// a cold build (same golden trace, optimized kernel, classifications — for
+// every fault model and thread count), the key derivation matches what the
+// engine computes, and every bad-entry flavor — corrupt bytes, truncation,
+// version skew, a foreign fingerprint, a resealed oversized count, a netlist
+// edit — degrades to a warned rebuild that still grades correctly.
 
 #include <gtest/gtest.h>
 
@@ -105,23 +105,43 @@ fs::path only_entry(const std::string& dir) {
 }
 
 CampaignConfig cached_config(const std::string& dir, unsigned threads = 0) {
-  CampaignConfig config;  // default: compiled, 512 lanes, optimizing
+  CampaignConfig config;  // default: compiled, 512 lanes
   config.cache_dir = dir;
   config.num_threads = threads;
   return config;
 }
 
-/// The exact key the engine derives for the default (optimizing)
-/// configuration — kept in lockstep by CacheKeyMatchesEngine below.
-ArtifactCacheKey engine_key(const Circuit& circuit, const Testbench& tb,
-                            const CampaignConfig& config) {
+/// The exact key the engine derives — kept in lockstep by
+/// CacheKeyMatchesEngine below.
+ArtifactCacheKey engine_key(const Circuit& circuit, const Testbench& tb) {
   ArtifactCacheKey key;
   key.circuit = circuit_structure_hash(circuit);
   key.testbench = testbench_content_hash(tb);
   key.config_rule = campaign_config_rule_hash();
-  key.optimizer = optimizer_pipeline_hash(config.optimize);
-  key.shape = artifact_shape_hash(/*opt_kernel=*/config.optimize);
+  key.optimizer = optimizer_pipeline_hash();
   return key;
+}
+
+/// Reads an entry, lets `patch` edit its bytes (magic included), recomputes
+/// the trailing checksum over the payload and writes it back — so the
+/// loader's checksum gate passes and the section checks behind it are what
+/// the test exercises.
+template <typename Patch>
+void patch_and_reseal(const fs::path& entry, const Patch& patch) {
+  std::vector<char> blob(fs::file_size(entry));
+  {
+    std::ifstream in(entry, std::ios::binary);
+    in.read(blob.data(), static_cast<std::streamsize>(blob.size()));
+  }
+  patch(blob);
+  Fnv64 sum;
+  sum.bytes(reinterpret_cast<const std::uint8_t*>(blob.data()) + 8,
+            blob.size() - 8 - sizeof(std::uint64_t));
+  const std::uint64_t digest = sum.digest();
+  std::memcpy(blob.data() + blob.size() - sizeof digest, &digest,
+              sizeof digest);
+  std::ofstream out(entry, std::ios::binary | std::ios::trunc);
+  out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
 }
 
 // ---- round trip ------------------------------------------------------------
@@ -171,8 +191,8 @@ TEST(ArtifactCache, WarmGradingIdenticalForEveryModel) {
   const auto stuckat = complete_stuckat_fault_list(sites);
 
   // One engine per (cache state, model): the four models share one entry
-  // (the golden trace and the FF-model kernel; site-keyed kernels are
-  // optimized per run from the raw kernel).
+  // (the golden trace and the FF-model kernel; overlay models run the raw
+  // kernel, compiled fresh).
   const auto counts_with = [&](const std::string& cache_dir) {
     std::vector<ClassCounts> all;
     {
@@ -214,7 +234,7 @@ TEST(ArtifactCache, CacheKeyMatchesEngineAndBundleMatchesRebuild) {
   const CampaignConfig config = cached_config(dir);
   ParallelFaultSimulator cold(circuit, tb, config);  // stores the entry
 
-  const ArtifactCacheKey key = engine_key(circuit, tb, config);
+  const ArtifactCacheKey key = engine_key(circuit, tb);
   ArtifactLoadResult loaded = load_artifacts(dir, key, circuit);
   ASSERT_EQ(loaded.status, ArtifactCacheStatus::kHit) << loaded.detail;
 
@@ -302,30 +322,39 @@ TEST(ArtifactCache, VersionSkewDegradesToWarnedRebuild) {
   ParallelFaultSimulator cold(circuit, tb, cached_config(dir));
 
   // Bump the format version (first u32 of the payload, after the 8-byte
-  // magic) and recompute the trailing checksum — the checksum gate runs
-  // first, so a naive patch would read as corruption, not skew.
-  const fs::path entry = only_entry(dir);
-  std::vector<char> blob(fs::file_size(entry));
-  {
-    std::ifstream in(entry, std::ios::binary);
-    in.read(blob.data(), static_cast<std::streamsize>(blob.size()));
-  }
-  std::uint32_t version = 0;
-  std::memcpy(&version, blob.data() + 8, sizeof version);
-  ++version;
-  std::memcpy(blob.data() + 8, &version, sizeof version);
-  Fnv64 sum;
-  sum.bytes(reinterpret_cast<const std::uint8_t*>(blob.data()) + 8,
-            blob.size() - 8 - sizeof(std::uint64_t));
-  const std::uint64_t digest = sum.digest();
-  std::memcpy(blob.data() + blob.size() - sizeof digest, &digest,
-              sizeof digest);
-  {
-    std::ofstream out(entry, std::ios::binary | std::ios::trunc);
-    out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-  }
-
+  // magic) and reseal — the checksum gate runs first, so a naive patch
+  // would read as corruption, not skew.
+  patch_and_reseal(only_entry(dir), [](std::vector<char>& blob) {
+    std::uint32_t version = 0;
+    std::memcpy(&version, blob.data() + 8, sizeof version);
+    ++version;
+    std::memcpy(blob.data() + 8, &version, sizeof version);
+  });
   expect_degraded_rebuild(circuit, tb, dir, "version-skew");
+}
+
+TEST(ArtifactCache, ResealedHugeTraceCountDegradesToWarnedRebuild) {
+  const Circuit circuit = build_revision(7, 0);
+  const Testbench tb = random_testbench(circuit.num_inputs(), 24, 2005);
+  const std::string dir = fresh_dir("cache-huge-count");
+  ParallelFaultSimulator cold(circuit, tb, cached_config(dir));
+
+  // The golden trace's state count follows the magic, the u32 version and
+  // the four u64 key hashes. A checksum-valid 2^61 there must be bounded by
+  // the payload, not handed to resize().
+  const fs::path entry = only_entry(dir);
+  constexpr std::size_t kStatesCountAt = 8 + 4 + 4 * 8;
+  patch_and_reseal(entry, [](std::vector<char>& blob) {
+    std::uint64_t count = 0;
+    std::memcpy(&count, blob.data() + kStatesCountAt, sizeof count);
+    EXPECT_EQ(count, 25u);  // 24 cycles -> 25 states
+    count = std::uint64_t{1} << 61;
+    std::memcpy(blob.data() + kStatesCountAt, &count, sizeof count);
+  });
+  const ArtifactLoadResult loaded =
+      load_artifacts(dir, engine_key(circuit, tb), circuit);
+  EXPECT_EQ(loaded.status, ArtifactCacheStatus::kCorrupt) << loaded.detail;
+  expect_degraded_rebuild(circuit, tb, dir, "corrupt");
 }
 
 TEST(ArtifactCache, ForeignFingerprintDegradesToWarnedRebuild) {

@@ -1,5 +1,5 @@
 // Compiled evaluation kernel: lowering invariants, cross-validation of the
-// compiled scalar/64/256-lane engines against the interpreted reference on
+// compiled scalar/64/512-lane engines against the interpreted reference on
 // random circuits and random fault lists, and determinism of the threaded
 // campaign sharder.
 
@@ -63,7 +63,7 @@ TEST(CompiledKernelTest, RejectsUnconnectedDff) {
 // ---- compiled vs interpreted, cycle-exact ----------------------------------
 
 // Drives the interpreted LevelizedSimulator and the three compiled lane
-// widths cycle-by-cycle from identical injected states and checks outputs and
+// widths (scalar, 64, 512) cycle-by-cycle from identical injected states and checks outputs and
 // state after every cycle.
 void check_engines_agree(const Circuit& circuit, const Testbench& tb,
                          std::uint64_t seed) {
@@ -71,7 +71,7 @@ void check_engines_agree(const Circuit& circuit, const Testbench& tb,
   LevelizedSimulator scalar(circuit, SimBackend::kCompiled);
   const auto kernel = compile_kernel(circuit);
   LaneEngine<std::uint64_t> lanes64(kernel);
-  LaneEngine<Word256> lanes256(kernel);
+  LaneEngine<Word512> lanes512(kernel);
 
   // A nonzero start state exercises DFF-load slots; derive it from the seed.
   BitVec state(circuit.num_dffs());
@@ -81,24 +81,24 @@ void check_engines_agree(const Circuit& circuit, const Testbench& tb,
   interp.set_state(state);
   scalar.set_state(state);
   lanes64.broadcast_state(state);
-  lanes256.broadcast_state(state);
+  lanes512.broadcast_state(state);
 
   for (std::size_t t = 0; t < tb.num_cycles(); ++t) {
     const BitVec out = interp.eval(tb.vector(t));
     EXPECT_TRUE(out == scalar.eval(tb.vector(t)));
     lanes64.eval(tb.vector(t));
-    lanes256.eval(tb.vector(t));
+    lanes512.eval(tb.vector(t));
     EXPECT_TRUE(out == lanes64.lane_outputs(0));
     EXPECT_TRUE(out == lanes64.lane_outputs(63));
-    EXPECT_TRUE(out == lanes256.lane_outputs(0));
-    EXPECT_TRUE(out == lanes256.lane_outputs(255));
+    EXPECT_TRUE(out == lanes512.lane_outputs(0));
+    EXPECT_TRUE(out == lanes512.lane_outputs(511));
     interp.step();
     scalar.step();
     lanes64.step();
-    lanes256.step();
+    lanes512.step();
     EXPECT_TRUE(interp.state() == scalar.state());
     EXPECT_TRUE(interp.state() == lanes64.lane_state(17));
-    EXPECT_TRUE(interp.state() == lanes256.lane_state(129));
+    EXPECT_TRUE(interp.state() == lanes512.lane_state(300));
   }
 }
 
@@ -142,27 +142,6 @@ TEST(CompiledKernelTest, SharedKernelServesManyEngines) {
   EXPECT_TRUE(a.lane_state(5) == ref.state());
 }
 
-// ---- lane isolation at width 256 -------------------------------------------
-
-TEST(LaneEngine256Test, FlippedLaneDivergesOthersTrackGolden) {
-  const Circuit circuit = circuits::build_shift_register(8);
-  const Testbench tb = zero_testbench(1, 4);
-  const auto kernel = compile_kernel(circuit);
-  LaneEngine<Word256> engine(kernel);
-  const GoldenTrace golden = capture_golden(circuit, tb.vectors());
-
-  engine.broadcast_state(golden.states[0]);
-  engine.flip_state_bit(0, 200);  // lane 200 gets the SEU in FF0
-  engine.eval(tb.vector(0));
-  const Word256 state_diff = [&] {
-    engine.step();
-    return engine.state_mismatch_lanes(golden.states[1]);
-  }();
-  using T = LaneTraits<Word256>;
-  EXPECT_TRUE(T::test(state_diff, 200));
-  EXPECT_EQ(T::count(state_diff), 1u);  // every other lane is golden
-}
-
 // ---- campaign cross-validation: backends x lane widths ----------------------
 
 void expect_same_outcomes(const CampaignResult& a, const CampaignResult& b,
@@ -194,14 +173,11 @@ TEST_P(CampaignBackendAgreement, RandomCircuitRandomFaults) {
       {SimBackend::kInterpreted, LaneWidth::k64, /*num_threads=*/1});
   ParallelFaultSimulator comp64(
       circuit, tb, {SimBackend::kCompiled, LaneWidth::k64, 1});
-  ParallelFaultSimulator comp256(
-      circuit, tb, {SimBackend::kCompiled, LaneWidth::k256, 1});
   ParallelFaultSimulator comp512(
       circuit, tb, {SimBackend::kCompiled, LaneWidth::k512, 1});
 
   const CampaignResult a = interp.run(faults);
   expect_same_outcomes(a, comp64.run(faults), "compiled-64");
-  expect_same_outcomes(a, comp256.run(faults), "compiled-256");
   expect_same_outcomes(a, comp512.run(faults), "compiled-512");
 }
 
@@ -226,10 +202,6 @@ TEST(CampaignShardingTest, ThreadedOutcomesIdenticalToSingleThreaded) {
     expect_same_outcomes(base, got, "threaded-64");
     EXPECT_EQ(single.last_run_eval_cycles(), sharded.last_run_eval_cycles());
   }
-
-  ParallelFaultSimulator sharded256(
-      circuit, tb, {SimBackend::kCompiled, LaneWidth::k256, 4});
-  expect_same_outcomes(base, sharded256.run(faults), "threaded-256");
 }
 
 TEST(CampaignShardingTest, DefaultConfigUsesHardwareConcurrency) {
@@ -248,10 +220,10 @@ TEST(CampaignShardingTest, InterpretedIgnoresLaneWidth) {
   const Testbench tb = zero_testbench(1, 40);
   const auto faults = complete_fault_list(circuit.num_dffs(), tb.num_cycles());
   ParallelFaultSimulator sim(circuit, tb,
-                             {SimBackend::kInterpreted, LaneWidth::k256, 1});
+                             {SimBackend::kInterpreted, LaneWidth::k512, 1});
   (void)sim.run(faults);
   EXPECT_EQ(sim.last_run_group_widths().g64, (faults.size() + 63) / 64);
-  EXPECT_EQ(sim.last_run_group_widths().g256, 0u);
+  EXPECT_EQ(sim.last_run_group_widths().g512, 0u);
 }
 
 }  // namespace

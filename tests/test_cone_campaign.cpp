@@ -1,7 +1,7 @@
 // SEU campaign edge cases on the compiled engine — the golden slot trace,
 // scheduling permutations, duplicates, fast-forward and threaded
 // determinism — always cross-checked against the interpreted reference
-// across the engine matrix (lanes {64, 256, 512} x threads {1, 4}).
+// across the engine matrix (lanes {64, 512} x threads {1, 4}).
 
 #include <gtest/gtest.h>
 

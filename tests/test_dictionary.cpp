@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <sstream>
 #include <string>
 
@@ -13,6 +14,7 @@
 #include "common/error.h"
 #include "fault/dictionary.h"
 #include "fault/fault_list.h"
+#include "fault/journal.h"
 #include "fault/parallel_faultsim.h"
 #include "stim/generate.h"
 
@@ -169,6 +171,59 @@ TEST(Dictionary, LoadRejectsCorruptBytes) {
 
   std::stringstream not_a_dict("definitely not a dictionary");
   EXPECT_THROW((void)FaultDictionary::load(not_a_dict), Error);
+}
+
+/// Overwrites the u64 at `offset` of a saved dictionary and recomputes the
+/// trailing checksum over the payload (everything after the 8-byte magic),
+/// so the loader's checksum gate passes and its count checks are reached.
+std::string patch_u64_and_reseal(std::string bytes, std::size_t offset,
+                                 std::uint64_t value) {
+  const auto put = [&](std::size_t at, std::uint64_t v) {
+    bytes.replace(at, sizeof v, reinterpret_cast<const char*>(&v), sizeof v);
+  };
+  put(offset, value);
+  Fnv64 sum;
+  sum.bytes(bytes.data() + 8, bytes.size() - 8 - sizeof(std::uint64_t));
+  put(bytes.size() - sizeof(std::uint64_t), sum.digest());
+  return bytes;
+}
+
+TEST(Dictionary, LoadRejectsResealedHugeCounts) {
+  const Circuit c = random_circuit(34, /*gates=*/120, /*dffs=*/10);
+  const Testbench tb = random_testbench(c.num_inputs(), 32, 5);
+  const auto faults = complete_fault_list(c.num_dffs(), 32);
+  const FaultDictionary dict = FaultDictionary::build_compiled(c, tb, faults);
+  std::stringstream buffer;
+  dict.save(buffer);
+  const std::string bytes = buffer.str();
+
+  // Payload layout: u32 version, u64 output count, then per golden output
+  // vector u64 bits, u64 words and the words; then u64 entry count.
+  constexpr std::size_t kOutputsAt = 8 + 4;
+  constexpr std::size_t kFirstBitsAt = kOutputsAt + 8;
+  const std::size_t entries_at =
+      kFirstBitsAt + tb.num_cycles() * (2 + (c.num_outputs() + 63) / 64) * 8;
+  std::uint64_t field = 0;
+  std::memcpy(&field, bytes.data() + kOutputsAt, sizeof field);
+  ASSERT_EQ(field, tb.num_cycles());
+  std::memcpy(&field, bytes.data() + entries_at, sizeof field);
+  ASSERT_EQ(field, dict.num_entries());
+
+  const std::uint64_t huge = std::uint64_t{1} << 61;
+  const auto expect_error = [](const std::string& crafted) {
+    std::stringstream in(crafted);
+    EXPECT_THROW((void)FaultDictionary::load(in), Error);
+  };
+  expect_error(patch_u64_and_reseal(bytes, kOutputsAt, huge));
+  // A consistent bits/words pair far beyond the file.
+  expect_error(patch_u64_and_reseal(
+      patch_u64_and_reseal(bytes, kFirstBitsAt, huge), kFirstBitsAt + 8,
+      huge / 64));
+  // bits + 63 wraps to a word count that matches zero words.
+  expect_error(patch_u64_and_reseal(
+      patch_u64_and_reseal(bytes, kFirstBitsAt, ~std::uint64_t{0}),
+      kFirstBitsAt + 8, 0));
+  expect_error(patch_u64_and_reseal(bytes, entries_at, huge));
 }
 
 TEST(Dictionary, SaveFileIsAtomicAndLoadable) {

@@ -1,8 +1,10 @@
 // Kernel IR optimizer (sim/kernel_opt.h): inverter/buffer absorption into
 // per-operand complement flags, constant folding, dead-logic elimination,
 // the pass accounting invariant, and the injection-site preserve contract —
-// plus campaign-level bit-identity of optimized vs raw kernels for all four
-// fault models, on random circuits (tier1) and sampled b14 (*Slow* suite).
+// plus campaigns of all four fault models (SEU/MBU on the FF-model optimized
+// kernel, SET/stuck-at on the raw kernel) graded exactly like each model's
+// serial reference, on random circuits (tier1) and sampled b14 (*Slow*
+// suite).
 
 #include "sim/kernel_opt.h"
 
@@ -19,6 +21,7 @@
 #include "fault/fault_list.h"
 #include "fault/mbu.h"
 #include "fault/parallel_faultsim.h"
+#include "fault/serial_faultsim.h"
 #include "fault/set_model.h"
 #include "fault/stuckat_model.h"
 #include "netlist/bench_io.h"
@@ -245,85 +248,99 @@ TEST(KernelOptTest, RegistryCircuitsShrinkAndStayEquivalent) {
   }
 }
 
-// ---- campaign bit-identity (tier1: random circuits) ------------------------
+// ---- campaigns vs the serial references (tier1: random circuits) ---------
 
-/// Grades all four models opt-on and opt-off under one engine configuration
-/// and requires bit-identical per-fault outcomes (and, opt-on, a recorded
-/// reduction).
-void expect_campaign_bit_identity(const Circuit& circuit, const Testbench& tb,
-                                  std::span<const Fault> seu,
-                                  std::span<const MbuFault> mbu,
-                                  std::span<const SetFault> set,
-                                  std::span<const StuckAtFault> stuckat,
-                                  const CampaignConfig& config) {
-  CampaignConfig off_config = config;
-  off_config.optimize = false;
-  ParallelFaultSimulator on(circuit, tb, config);
-  ParallelFaultSimulator off(circuit, tb, off_config);
+/// One fault list per model and the serial reference's outcomes for each.
+struct ModelCampaigns {
+  std::vector<Fault> seu;
+  std::vector<MbuFault> mbu;
+  std::vector<SetFault> set;
+  std::vector<StuckAtFault> stuckat;
+  std::vector<FaultOutcome> seu_ref, mbu_ref, set_ref, stuckat_ref;
+
+  ModelCampaigns(const Circuit& circuit, const Testbench& tb,
+                 std::vector<Fault> seu_faults,
+                 std::vector<MbuFault> mbu_faults,
+                 std::vector<SetFault> set_faults,
+                 std::vector<StuckAtFault> stuckat_faults)
+      : seu(std::move(seu_faults)),
+        mbu(std::move(mbu_faults)),
+        set(std::move(set_faults)),
+        stuckat(std::move(stuckat_faults)) {
+    seu_ref = SerialFaultSimulator(circuit, tb).run(seu).outcomes();
+    mbu_ref = MbuFaultSimulator(circuit, tb).run(mbu).outcomes;
+    set_ref = SerialSetSimulator(circuit, tb).run(set).outcomes;
+    stuckat_ref = SerialStuckAtSimulator(circuit, tb).run(stuckat).outcomes;
+  }
+};
+
+/// Grades all four models under one engine configuration and requires
+/// per-fault outcomes identical to the serial references. SEU/MBU run the
+/// optimized FF-model kernel, SET/stuck-at the raw kernel.
+void expect_campaigns_match_serial(const Circuit& circuit, const Testbench& tb,
+                                   const ModelCampaigns& m,
+                                   const CampaignConfig& config) {
+  ParallelFaultSimulator sim(circuit, tb, config);
   const std::string label = engine_label(config);
-
-  EXPECT_EQ(on.run(seu).outcomes(), off.run(seu).outcomes()) << "seu " << label;
-  EXPECT_GT(on.telemetry_snapshot().opt_raw_instrs, 0u);
-  EXPECT_EQ(off.telemetry_snapshot().opt_raw_instrs, 0u);
-
-  EXPECT_EQ(on.run_mbu(mbu).outcomes, off.run_mbu(mbu).outcomes)
-      << "mbu " << label;
-  EXPECT_EQ(on.run_set(set).outcomes, off.run_set(set).outcomes)
-      << "set " << label;
-  // SET preserves its rep sites; the reduction may be smaller but the
-  // accounting must still be live.
-  EXPECT_GT(on.telemetry_snapshot().opt_preserved, 0u);
-  EXPECT_EQ(on.run_stuckat(stuckat).outcomes, off.run_stuckat(stuckat).outcomes)
+  EXPECT_EQ(sim.run(m.seu).outcomes(), m.seu_ref) << "seu " << label;
+  EXPECT_GT(sim.telemetry_snapshot().opt_raw_instrs, 0u) << label;
+  EXPECT_EQ(sim.run_mbu(m.mbu).outcomes, m.mbu_ref) << "mbu " << label;
+  EXPECT_EQ(sim.run_set(m.set).outcomes, m.set_ref) << "set " << label;
+  EXPECT_EQ(sim.run_stuckat(m.stuckat).outcomes, m.stuckat_ref)
       << "stuckat " << label;
 }
 
-TEST(KernelOptCampaignTest, AllModelsBitIdenticalOnRandomCircuits) {
+TEST(KernelOptCampaignTest, AllModelsMatchSerialOnRandomCircuits) {
   for (const std::uint64_t seed : {3u, 29u}) {
     const Circuit c = random_circuit(seed, 220);
     const std::size_t cycles = 48;
     const Testbench tb = random_testbench(c.num_inputs(), cycles, seed);
     const SetSites sites(c);
-    const auto seu = complete_fault_list(c.num_dffs(), cycles);
-    const auto mbu = adjacent_pair_fault_list(c.num_dffs(), cycles);
-    const auto set =
-        complete_set_fault_list(sites, cycles, /*collapsed=*/true);
-    const auto stuckat = complete_stuckat_fault_list(sites);
+    const ModelCampaigns m(
+        c, tb, complete_fault_list(c.num_dffs(), cycles),
+        adjacent_pair_fault_list(c.num_dffs(), cycles),
+        complete_set_fault_list(sites, cycles, /*collapsed=*/true),
+        complete_stuckat_fault_list(sites));
     for (const CampaignConfig& config : compiled_engine_matrix()) {
-      expect_campaign_bit_identity(c, tb, seu, mbu, set, stuckat, config);
+      expect_campaigns_match_serial(c, tb, m, config);
     }
   }
 }
 
-TEST(KernelOptCampaignTest, SiteKernelCacheReusesSupersets) {
-  // Two stuck-at campaigns where the second's sites are a subset of the
-  // first's: the engine must reuse the cached site kernel (observable as a
-  // zero-cost optimizer snapshot with unchanged counts) and still grade
-  // identically to a fresh opt-off engine.
-  const Circuit c = random_circuit(77, 200);
-  const Testbench tb = random_testbench(c.num_inputs(), 40, 77);
+TEST(KernelOptCampaignTest, KernelFollowsTheModel) {
+  // One engine: an overlay (SET) run executes the raw kernel and reports no
+  // optimizer work; the following SEU run executes the FF-model kernel and
+  // reports its counts.
+  const Circuit c = circuits::build_by_name("b06_like");
+  const Testbench tb = random_testbench(c.num_inputs(), 24, 5);
   const SetSites sites(c);
-  const auto all = complete_stuckat_fault_list(sites);
-  ASSERT_GT(all.size(), 8u);
-  const std::vector<StuckAtFault> subset(all.begin(), all.begin() + 8);
+  ParallelFaultSimulator sim(c, tb, {SimBackend::kCompiled, LaneWidth::k64, 1});
 
-  CampaignConfig on_config{SimBackend::kCompiled, LaneWidth::k64, 1};
-  CampaignConfig off_config = on_config;
-  off_config.optimize = false;
-  ParallelFaultSimulator on(c, tb, on_config);
-  ParallelFaultSimulator off(c, tb, off_config);
-  EXPECT_EQ(on.run_stuckat(all).outcomes, off.run_stuckat(all).outcomes);
-  const auto stats_full = on.telemetry_snapshot();
-  EXPECT_EQ(on.run_stuckat(subset).outcomes, off.run_stuckat(subset).outcomes);
-  const auto stats_sub = on.telemetry_snapshot();
-  // Cache hit: the subset run reports the cached kernel's counts at zero
-  // build cost.
-  EXPECT_EQ(stats_sub.opt_instrs, stats_full.opt_instrs);
-  EXPECT_EQ(stats_sub.opt_seconds, 0.0);
+  const auto set = complete_set_fault_list(sites, tb.num_cycles(), true);
+  (void)sim.run_set(set);
+  const obs::CampaignTelemetry& t = sim.telemetry_snapshot();
+  EXPECT_EQ(t.opt_raw_instrs, 0u);
+  EXPECT_EQ(t.opt_instrs, 0u);
+  EXPECT_EQ(t.opt_absorbed + t.opt_folded + t.opt_dead, 0u);
+  EXPECT_EQ(t.opt_seconds, 0.0);
+  EXPECT_EQ(sim.last_run_eval_instrs(),
+            sim.last_run_eval_cycles() * c.num_gates());
+
+  (void)sim.run(complete_fault_list(c.num_dffs(), tb.num_cycles()));
+  const OptStats ff = optimize(compile_kernel(c))->opt_stats();
+  EXPECT_EQ(t.opt_raw_instrs, ff.raw_instrs);
+  EXPECT_EQ(t.opt_instrs, ff.opt_instrs);
+  EXPECT_EQ(t.opt_absorbed, ff.absorbed);
+  EXPECT_EQ(t.opt_folded, ff.folded);
+  EXPECT_EQ(t.opt_dead, ff.dead);
+  EXPECT_LT(t.opt_instrs, t.opt_raw_instrs);
+  EXPECT_EQ(sim.last_run_eval_instrs(),
+            sim.last_run_eval_cycles() * ff.opt_instrs);
 }
 
 // ---- external-netlist fixture (parse -> optimize -> campaign) --------------
 
-TEST(KernelOptCampaignTest, S27BenchFixtureGradesIdenticallyOptOnAndOff) {
+TEST(KernelOptCampaignTest, S27BenchFixtureMatchesSerial) {
   const Circuit c = load_bench_file(std::string(FEMU_TESTS_DIR) +
                                     "/s27.bench");
   EXPECT_EQ(c.num_inputs(), 4u);
@@ -341,28 +358,29 @@ TEST(KernelOptCampaignTest, S27BenchFixtureGradesIdenticallyOptOnAndOff) {
   const std::size_t cycles = 64;
   const Testbench tb = random_testbench(c.num_inputs(), cycles, 2005);
   const SetSites sites(c);
-  const auto seu = complete_fault_list(c.num_dffs(), cycles);
-  const auto stuckat = complete_stuckat_fault_list(sites);
-  expect_campaign_bit_identity(
-      c, tb, seu, adjacent_pair_fault_list(c.num_dffs(), cycles),
-      complete_set_fault_list(sites, cycles, /*collapsed=*/true), stuckat,
-      {SimBackend::kCompiled, LaneWidth::k64, 1});
+  const ModelCampaigns m(
+      c, tb, complete_fault_list(c.num_dffs(), cycles),
+      adjacent_pair_fault_list(c.num_dffs(), cycles),
+      complete_set_fault_list(sites, cycles, /*collapsed=*/true),
+      complete_stuckat_fault_list(sites));
+  expect_campaigns_match_serial(c, tb, m,
+                                {SimBackend::kCompiled, LaneWidth::k64, 1});
 }
 
 // ---- b14 (*Slow* suite) ----------------------------------------------------
 
-TEST(KernelOptSlowTest, B14AllModelsBitIdenticalAcrossTiersAndThreads) {
+TEST(KernelOptSlowTest, B14AllModelsMatchSerialAcrossTiersAndThreads) {
   const Circuit c = circuits::build_by_name("b14");
   const std::size_t cycles = 96;
   const Testbench tb = random_testbench(c.num_inputs(), cycles, 2005);
   const SetSites sites(c);
-  const auto seu = sample_fault_list(c.num_dffs(), cycles, 3000, 13);
-  const auto mbu = random_cluster_fault_list(c.num_dffs(), cycles, 2, 4,
-                                             1500, 13);
-  const auto set = sample_set_fault_list(sites, cycles, 1500, 13);
-  const auto stuckat = complete_stuckat_fault_list(sites);
+  const ModelCampaigns m(
+      c, tb, sample_fault_list(c.num_dffs(), cycles, 3000, 13),
+      random_cluster_fault_list(c.num_dffs(), cycles, 2, 4, 1500, 13),
+      sample_set_fault_list(sites, cycles, 1500, 13),
+      complete_stuckat_fault_list(sites));
   for (const CampaignConfig& config : compiled_engine_matrix()) {
-    expect_campaign_bit_identity(c, tb, seu, mbu, set, stuckat, config);
+    expect_campaigns_match_serial(c, tb, m, config);
   }
 }
 

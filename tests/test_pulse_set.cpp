@@ -144,7 +144,7 @@ TEST(PulseWidthTest, LatchingProbabilityMatchesWidthOnProbeCircuit) {
   const SetSites sites(c);
   ParallelFaultSimulator sim(
       c, tb,
-      CampaignConfig{SimBackend::kCompiled, LaneWidth::k256, 2});
+      CampaignConfig{SimBackend::kCompiled, LaneWidth::k512, 2});
   for (const std::uint16_t q :
        {std::uint16_t{64}, std::uint16_t{128}, std::uint16_t{208}}) {
     const auto faults =

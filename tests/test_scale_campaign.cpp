@@ -1,7 +1,7 @@
 // Large-generated-circuit campaigns: complete and sampled SEU campaigns on
 // 50k-gate and 80k-node pipelines run end-to-end, schedule construction
 // included, and must classify identically across the engine matrix (lane
-// widths 64/256/512 x threads 1/4).
+// widths 64/512 x threads 1/4).
 //
 // Suites named *Slow* run under the `slow` ctest label.
 

@@ -65,8 +65,6 @@ void expect_same_work_metrics(const ParallelFaultSimulator& a,
       << label;
   EXPECT_EQ(a.last_run_group_widths().g64, b.last_run_group_widths().g64)
       << label;
-  EXPECT_EQ(a.last_run_group_widths().g256, b.last_run_group_widths().g256)
-      << label;
   EXPECT_EQ(a.last_run_group_widths().g512, b.last_run_group_widths().g512)
       << label;
 }

@@ -1,6 +1,6 @@
 // Word512 lane tier: trait algebra, the runtime SIMD dispatch, and
 // cross-validation of the 512-lane engines against the interpreted
-// reference and the 64/256-lane compiled engines for all three fault
+// reference and the 64-lane compiled engine for all three fault
 // models (SEU, MBU, SET) — on random circuits (tier1) and sampled b14
 // (*Slow* suites).
 
@@ -129,7 +129,7 @@ TEST_P(Word512Agreement, RandomCircuitCompleteSeuCampaign) {
 INSTANTIATE_TEST_SUITE_P(Seeds, Word512Agreement,
                          ::testing::Range<std::uint64_t>(0, 4));
 
-// A group wider than the fault count and lanes beyond 256 exercised in one
+// A group wider than the fault count and lanes beyond 64 exercised in one
 // group: more lanes than faults must grade exactly like narrower widths.
 TEST(Word512Test, PartialGroupAndDuplicates) {
   const Circuit c = circuits::build_by_name("b06_like");
