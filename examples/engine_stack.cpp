@@ -24,7 +24,7 @@ int main(int argc, char** argv) try {
   using namespace femu;
 
   const std::string name = argc > 1 ? argv[1] : "b14";
-  const std::size_t cycles = argc > 2 ? std::stoul(argv[2]) : 160;
+  const std::size_t cycles = argc > 2 ? parse_count(argv[2], "cycles") : 160;
 
   const Circuit circuit = circuits::build_by_name(name);
   const Testbench tb = random_testbench(circuit.num_inputs(), cycles, 2005);

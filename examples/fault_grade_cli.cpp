@@ -631,13 +631,13 @@ int main(int argc, char** argv) {
       return 0;
     }
     const std::size_t cycles =
-        positional.size() > 1 ? std::stoul(positional[1]) : 160;
+        positional.size() > 1 ? parse_count(positional[1], "cycles") : 160;
     const std::string technique_spec =
         positional.size() > 2 ? positional[2] : "all";
     const std::size_t sample =
-        positional.size() > 3 ? std::stoul(positional[3]) : 0;
+        positional.size() > 3 ? parse_count(positional[3], "sample") : 0;
     const std::uint64_t seed =
-        positional.size() > 4 ? std::stoull(positional[4]) : 2005;
+        positional.size() > 4 ? parse_count(positional[4], "seed") : 2005;
     const FaultModel model = parse_model(model_spec);
     const LaneWidth lanes = parse_lanes(lanes_spec);
 

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <iomanip>
+
+#include "common/error.h"
 
 namespace femu {
 
@@ -80,6 +83,17 @@ std::string format_grouped(long long value) {
   }
   std::reverse(out.begin(), out.end());
   return out;
+}
+
+std::uint64_t parse_count(std::string_view text, const char* what) {
+  std::uint64_t value = 0;
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end) {
+    throw Error(str_cat("invalid ", what, " '", text,
+                        "': expected a non-negative integer below 2^64"));
+  }
+  return value;
 }
 
 }  // namespace femu

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -46,6 +47,14 @@ template <typename... Args>
 
 /// Formats a ratio as a percentage string, e.g. 0.492 -> "49.2%".
 [[nodiscard]] std::string format_percent(double ratio, int digits = 1);
+
+/// Parses a whole string as a non-negative decimal count (a CLI cycle
+/// count, sample size or seed). Throws femu::Error naming `what` on an
+/// empty string, a sign, any character after the digits, or a value that
+/// does not fit in 64 bits — std::stoul would read "-1" as 2^64 - 1 and
+/// "160x" as 160.
+[[nodiscard]] std::uint64_t parse_count(std::string_view text,
+                                        const char* what);
 
 /// Groups thousands for readability, e.g. 34400 -> "34,400".
 [[nodiscard]] std::string format_grouped(long long value);

@@ -95,7 +95,7 @@ struct Reader {
     out.assign_words(static_cast<std::size_t>(bits), scratch_words);
     return true;
   }
-  std::vector<std::uint64_t> scratch_words;
+  std::vector<std::uint64_t> scratch_words{};
 };
 
 void put_trace(Payload& out, const GoldenTrace& trace) {

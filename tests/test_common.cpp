@@ -52,6 +52,24 @@ TEST(StringsTest, Formatting) {
   EXPECT_EQ(format_grouped(999), "999");
 }
 
+TEST(StringsTest, ParseCountAcceptsOnlyWholeUnsignedDecimals) {
+  EXPECT_EQ(parse_count("0", "cycles"), 0u);
+  EXPECT_EQ(parse_count("160", "cycles"), 160u);
+  EXPECT_EQ(parse_count("18446744073709551615", "seed"),
+            18446744073709551615ull);
+  // std::stoul read "-1" as 2^64 - 1 and "160x" as 160.
+  for (const char* bad : {"", "-1", "+5", " 5", "5 ", "160x", "0x10", "1e3",
+                          "18446744073709551616", "99999999999999999999"}) {
+    EXPECT_THROW((void)parse_count(bad, "cycles"), Error) << '"' << bad << '"';
+  }
+  try {
+    (void)parse_count("-1", "cycles");
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("cycles '-1'"), std::string::npos)
+        << e.what();
+  }
+}
+
 // ---- error / FEMU_CHECK ----
 
 TEST(ErrorTest, CheckThrowsWithContext) {

@@ -1,7 +1,8 @@
-// Compiled evaluation kernel: lowering invariants, cross-validation of the
-// compiled scalar/64/512-lane engines against the interpreted reference on
-// random circuits and random fault lists, and determinism of the threaded
-// campaign sharder.
+// Compiled evaluation kernel: lowering invariants, cycle-exact agreement of
+// the compiled scalar/64/512-lane engines with the interpreted reference on
+// random and registry circuits, and the campaign defaults. Campaigns on
+// every backend, lane width and thread count are checked by the
+// differential harness (test_campaign_diff.cpp).
 
 #include <gtest/gtest.h>
 
@@ -142,67 +143,7 @@ TEST(CompiledKernelTest, SharedKernelServesManyEngines) {
   EXPECT_TRUE(a.lane_state(5) == ref.state());
 }
 
-// ---- campaign cross-validation: backends x lane widths ----------------------
-
-void expect_same_outcomes(const CampaignResult& a, const CampaignResult& b,
-                          const char* label) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a.outcomes()[i], b.outcomes()[i])
-        << label << " fault (ff=" << a.faults()[i].ff_index
-        << ", c=" << a.faults()[i].cycle << ")";
-  }
-}
-
-class CampaignBackendAgreement
-    : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(CampaignBackendAgreement, RandomCircuitRandomFaults) {
-  circuits::RandomCircuitSpec spec;
-  spec.num_inputs = 5;
-  spec.num_outputs = 4;
-  spec.num_dffs = 20;
-  spec.num_gates = 250;
-  const Circuit circuit = circuits::build_random(spec, GetParam());
-  const Testbench tb = random_testbench(spec.num_inputs, 40, GetParam() + 3);
-  const auto faults = sample_fault_list(spec.num_dffs, tb.num_cycles(), 300,
-                                        GetParam() + 17);
-
-  ParallelFaultSimulator interp(
-      circuit, tb,
-      {SimBackend::kInterpreted, LaneWidth::k64, /*num_threads=*/1});
-  ParallelFaultSimulator comp64(
-      circuit, tb, {SimBackend::kCompiled, LaneWidth::k64, 1});
-  ParallelFaultSimulator comp512(
-      circuit, tb, {SimBackend::kCompiled, LaneWidth::k512, 1});
-
-  const CampaignResult a = interp.run(faults);
-  expect_same_outcomes(a, comp64.run(faults), "compiled-64");
-  expect_same_outcomes(a, comp512.run(faults), "compiled-512");
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, CampaignBackendAgreement,
-                         ::testing::Range<std::uint64_t>(0, 6));
-
-// ---- threaded sharder determinism ------------------------------------------
-
-TEST(CampaignShardingTest, ThreadedOutcomesIdenticalToSingleThreaded) {
-  const Circuit circuit = circuits::build_by_name("b06_like");
-  const Testbench tb = random_testbench(circuit.num_inputs(), 40, 5);
-  const auto faults = complete_fault_list(circuit.num_dffs(), tb.num_cycles());
-
-  ParallelFaultSimulator single(
-      circuit, tb, {SimBackend::kCompiled, LaneWidth::k64, /*num_threads=*/1});
-  const CampaignResult base = single.run(faults);
-
-  for (const unsigned threads : {2u, 4u, 7u}) {
-    ParallelFaultSimulator sharded(
-        circuit, tb, {SimBackend::kCompiled, LaneWidth::k64, threads});
-    const CampaignResult got = sharded.run(faults);
-    expect_same_outcomes(base, got, "threaded-64");
-    EXPECT_EQ(single.last_run_eval_cycles(), sharded.last_run_eval_cycles());
-  }
-}
+// ---- campaign defaults -----------------------------------------------------
 
 TEST(CampaignShardingTest, DefaultConfigUsesHardwareConcurrency) {
   const Circuit circuit = circuits::build_shift_register(4);
@@ -212,18 +153,6 @@ TEST(CampaignShardingTest, DefaultConfigUsesHardwareConcurrency) {
   const auto faults = complete_fault_list(circuit.num_dffs(), tb.num_cycles());
   (void)sim.run(faults);
   EXPECT_GE(sim.last_run_threads(), 1u);
-}
-
-TEST(CampaignShardingTest, InterpretedIgnoresLaneWidth) {
-  // The interpreted oracle always runs 64-lane groups, whatever `lanes` asks.
-  const Circuit circuit = circuits::build_shift_register(4);
-  const Testbench tb = zero_testbench(1, 40);
-  const auto faults = complete_fault_list(circuit.num_dffs(), tb.num_cycles());
-  ParallelFaultSimulator sim(circuit, tb,
-                             {SimBackend::kInterpreted, LaneWidth::k512, 1});
-  (void)sim.run(faults);
-  EXPECT_EQ(sim.last_run_group_widths().g64, (faults.size() + 63) / 64);
-  EXPECT_EQ(sim.last_run_group_widths().g512, 0u);
 }
 
 }  // namespace

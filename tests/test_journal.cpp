@@ -370,7 +370,7 @@ TEST(JournaledCampaignDegrade, SignaturelessJournalWithCaptureRequired) {
 // ---- kill-and-resume -------------------------------------------------------
 
 #ifdef __unix__
-TEST(JournalKillResumeSlow, SigkilledCampaignResumesBitIdentical) {
+TEST(JournalKillResumeTest, SigkilledCampaignResumesBitIdentical) {
   const Circuit c = random_circuit(55, /*gates=*/300, /*dffs=*/24);
   const Testbench tb = random_testbench(c.num_inputs(), 96, 13);
   const auto faults = complete_fault_list(c.num_dffs(), 96);

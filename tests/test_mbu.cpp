@@ -1,15 +1,15 @@
-// Multi-bit upset extension: list generators, engine agreement with
-// composed single-bit semantics, and the classic TMR-defeat result.
+// Multi-bit upset extension: list generators, the MbuFaultSimulator
+// reference's agreement with composed single-bit semantics, and the classic
+// TMR-defeat result. The campaign engine's run_mbu is checked against that
+// reference by the differential harness (test_campaign_diff.cpp).
 
 #include "fault/mbu.h"
 
 #include <gtest/gtest.h>
 
-#include "circuits/generators.h"
 #include "circuits/small.h"
 #include "common/error.h"
 #include "core/mbu_emulation.h"
-#include "engine_matrix.h"
 #include "fault/fault_list.h"
 #include "fault/parallel_faultsim.h"
 #include "harden/tmr.h"
@@ -206,41 +206,6 @@ TEST(MbuEmulationTest, RankingInvertsOnB14ShapedCampaigns) {
       mbu_campaign_cycles(Technique::kTimeMux, params, faults, outcomes);
   EXPECT_LT(state.total(), mask.total());    // inverted vs Table 2
   EXPECT_LT(timemux.total(), mask.total());  // time-mux still beats mask-scan
-}
-
-TEST(MbuUnifiedEngineTest, MatchesDedicatedMbuSimulatorEverywhere) {
-  // ParallelFaultSimulator::run_mbu (the unified sharded/scheduled engine)
-  // must reproduce the dedicated interpreted MbuFaultSimulator per-fault,
-  // for every backend, lane width and thread count.
-  circuits::RandomCircuitSpec spec;
-  spec.num_inputs = 5;
-  spec.num_outputs = 4;
-  spec.num_dffs = 18;
-  spec.num_gates = 200;
-  const Circuit c = circuits::build_random(spec, 77);
-  const Testbench tb = random_testbench(spec.num_inputs, 32, 78);
-  auto faults = random_cluster_fault_list(spec.num_dffs, tb.num_cycles(), 3,
-                                          6, 500, 79);
-  for (std::uint32_t ff = 0; ff + 1 < spec.num_dffs; ++ff) {
-    faults.push_back(MbuFault{{ff, ff + 1}, 0});  // plus an as-given prefix
-  }
-
-  MbuFaultSimulator reference(c, tb);
-  const MbuCampaignResult ref = reference.run(faults);
-
-  const auto check = [&](CampaignConfig config, const char* label) {
-    ParallelFaultSimulator sim(c, tb, config);
-    const MbuCampaignResult got = sim.run_mbu(faults);
-    ASSERT_EQ(got.outcomes.size(), ref.outcomes.size()) << label;
-    for (std::size_t i = 0; i < ref.outcomes.size(); ++i) {
-      ASSERT_EQ(got.outcomes[i], ref.outcomes[i])
-          << label << " MBU @" << i << " (cycle " << faults[i].cycle << ")";
-    }
-  };
-  check({SimBackend::kInterpreted, LaneWidth::k64, 1}, "interpreted");
-  for (const CampaignConfig& config : compiled_engine_matrix()) {
-    check(config, engine_label(config).c_str());
-  }
 }
 
 }  // namespace

@@ -1,10 +1,9 @@
 // Pulse-width / latching-window SET modeling: the discretised pulse-width
 // attribute on SetFault, the deterministic per-FF setup-window draw
-// (set_pulse_latches), the per-destination-DFF latch thinning in the
-// compiled engine (cross-validated against the serial reference at every
-// lane width and thread count), and
-// the statistical contract that latching probability tracks the pulse-width
-// fraction.
+// (set_pulse_latches), and the statistical contract that latching
+// probability tracks the pulse-width fraction. The engine's per-lane latch
+// thinning is checked against the serial reference by the differential
+// harness, whose SET cases carry mixed pulse widths (test_campaign_diff.cpp).
 
 #include <gtest/gtest.h>
 
@@ -13,37 +12,12 @@
 
 #include "circuits/generators.h"
 #include "circuits/registry.h"
-#include "engine_matrix.h"
 #include "fault/parallel_faultsim.h"
 #include "fault/set_model.h"
 #include "stim/generate.h"
 
 namespace femu {
 namespace {
-
-void expect_same_outcomes(const SetCampaignResult& a,
-                          const SetCampaignResult& b, const char* label) {
-  ASSERT_EQ(a.faults.size(), b.faults.size()) << label;
-  for (std::size_t i = 0; i < a.faults.size(); ++i) {
-    ASSERT_EQ(a.faults[i], b.faults[i]) << label << " fault order @" << i;
-    ASSERT_EQ(a.outcomes[i], b.outcomes[i])
-        << label << " fault (node=" << a.faults[i].node
-        << ", c=" << a.faults[i].cycle << ", q=" << a.faults[i].pulse_q
-        << ")";
-  }
-}
-
-// Serial reference vs every compiled engine configuration.
-void pulse_cross_check(const Circuit& circuit, const Testbench& tb,
-                       std::span<const SetFault> faults, const char* label) {
-  SerialSetSimulator serial(circuit, tb);
-  const SetCampaignResult ref = serial.run(faults);
-  for (const CampaignConfig& config : compiled_engine_matrix()) {
-    SCOPED_TRACE(engine_label(config));
-    ParallelFaultSimulator sim(circuit, tb, config);
-    expect_same_outcomes(ref, sim.run_set(faults), label);
-  }
-}
 
 /// The latch-probe circuit: n independent input -> BUF -> DFF chains with
 /// the DFF Q driving a primary output. A SET on chain i's BUF always flips
@@ -200,48 +174,6 @@ TEST(PulseWidthTest, ImmediateDivergenceIsMonotoneInWidth) {
     EXPECT_TRUE(!mid[i] || narrow[i]) << "fault " << i;
     EXPECT_TRUE(!full[i] || mid[i]) << "fault " << i;
   }
-}
-
-// ---- engine cross-validation -----------------------------------------------
-
-class PulseCampaignAgreement : public ::testing::TestWithParam<std::uint64_t> {
-};
-
-TEST_P(PulseCampaignAgreement, MixedWidthCampaignAgreesEverywhere) {
-  circuits::RandomCircuitSpec spec;
-  spec.num_inputs = 6;
-  spec.num_outputs = 5;
-  spec.num_dffs = 14;
-  spec.num_gates = 170;
-  const Circuit c = circuits::build_random(spec, GetParam() + 50);
-  const Testbench tb = random_testbench(spec.num_inputs, 22, GetParam() + 55);
-  const SetSites sites(c);
-  // Mixed widths in one campaign, including full-width lanes, so thinned
-  // and classic lanes share groups (the thinning must be per-lane exact).
-  auto faults = complete_set_fault_list(sites, tb.num_cycles());
-  for (std::size_t i = 0; i < faults.size(); ++i) {
-    faults[i].pulse_q = static_cast<std::uint16_t>((i * 37) % 257);
-  }
-  pulse_cross_check(c, tb, faults, "mixed-width-campaign");
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, PulseCampaignAgreement,
-                         ::testing::Range<std::uint64_t>(0, 2));
-
-TEST(PulseCampaignTest, LastCyclePulsesAgree) {
-  // Injection at the final cycle: the latch thinning happens at the last
-  // clock edge, against states[num_cycles].
-  const Circuit c = circuits::build_by_name("b03_like");
-  const Testbench tb = random_testbench(c.num_inputs(), 18, 7);
-  const SetSites sites(c);
-  std::vector<SetFault> faults;
-  std::uint16_t q = 0;
-  for (const NodeId rep : sites.representatives()) {
-    faults.push_back({rep, static_cast<std::uint32_t>(tb.num_cycles() - 1),
-                      static_cast<std::uint16_t>(q % 257)});
-    q += 61;
-  }
-  pulse_cross_check(c, tb, faults, "last-cycle-pulse");
 }
 
 }  // namespace

@@ -1,14 +1,14 @@
 // Large-generated-circuit campaigns: complete and sampled SEU campaigns on
 // 50k-gate and 80k-node pipelines run end-to-end, schedule construction
-// included, and must classify identically across the engine matrix (lane
-// widths 64/512 x threads 1/4).
+// included, and must classify identically on every compiled configuration
+// of the differential harness (lane widths 64/512 x threads 1/4).
 //
 // Suites named *Slow* run under the `slow` ctest label.
 
 #include <gtest/gtest.h>
 
+#include "campaign_diff.h"
 #include "circuits/generators.h"
-#include "engine_matrix.h"
 #include "fault/fault_list.h"
 #include "fault/parallel_faultsim.h"
 #include "stim/generate.h"
@@ -28,7 +28,7 @@ TEST(ScaleCampaignSlowTest, Pipeline50kGateCompleteSeuCampaign) {
 
   ClassCounts want;
   bool have_want = false;
-  for (const CampaignConfig& config : compiled_engine_matrix()) {
+  for (const CampaignConfig& config : diff::compiled_configs()) {
     ParallelFaultSimulator sim(c, tb, config);
     const ClassCounts got = sim.run(faults).counts();
     if (!have_want) {
@@ -37,9 +37,9 @@ TEST(ScaleCampaignSlowTest, Pipeline50kGateCompleteSeuCampaign) {
       EXPECT_EQ(want.total(), faults.size());
       continue;
     }
-    EXPECT_EQ(got.failure, want.failure) << engine_label(config);
-    EXPECT_EQ(got.latent, want.latent) << engine_label(config);
-    EXPECT_EQ(got.silent, want.silent) << engine_label(config);
+    EXPECT_EQ(got.failure, want.failure) << diff::config_name(config);
+    EXPECT_EQ(got.latent, want.latent) << diff::config_name(config);
+    EXPECT_EQ(got.silent, want.silent) << diff::config_name(config);
   }
 }
 

@@ -1,14 +1,17 @@
 // Simulator equivalence properties: the levelized, event-driven and 64-way
 // parallel engines must agree cycle-exactly on every circuit; the parallel
-// engine's lane isolation and mismatch masks are exercised directly.
+// engine's lane isolation and mismatch masks are exercised directly, and
+// the golden trace and the compiled kernel's golden slot trace agree.
 
 #include <gtest/gtest.h>
 
 #include "circuits/generators.h"
 #include "circuits/small.h"
 #include "circuits/registry.h"
+#include "sim/compiled_kernel.h"
 #include "sim/event_sim.h"
 #include "sim/golden.h"
+#include "sim/golden_slots.h"
 #include "sim/levelized_sim.h"
 #include "sim/parallel_sim.h"
 #include "stim/generate.h"
@@ -194,6 +197,31 @@ TEST(GoldenTraceTest, ShapesAndDeterminism) {
     EXPECT_TRUE(a.states[t + 1] == b.states[t + 1]);
   }
   EXPECT_TRUE(a.final_state() == a.states.back());
+}
+
+TEST(GoldenSlotTraceTest, MatchesGoldenTraceProjections) {
+  const Circuit c = circuits::build_by_name("b03_like");
+  const Testbench tb = random_testbench(c.num_inputs(), 24, 9);
+  const auto kernel = compile_kernel(c);
+  const GoldenSlotTrace slots = capture_golden_slots(*kernel, tb.vectors());
+  const GoldenTrace golden = capture_golden(c, tb.vectors());
+
+  ASSERT_EQ(slots.num_cycles(), tb.num_cycles());
+  ASSERT_EQ(slots.num_slots, c.node_count());
+  for (std::size_t t = 0; t < tb.num_cycles(); ++t) {
+    // Output slots must equal the golden outputs of cycle t, DFF slots the
+    // golden state at the start of cycle t, input slots the stimulus.
+    for (std::size_t o = 0; o < c.num_outputs(); ++o) {
+      EXPECT_EQ(slots.at(t).get(c.outputs()[o].driver),
+                golden.outputs[t].get(o));
+    }
+    for (std::size_t i = 0; i < c.num_dffs(); ++i) {
+      EXPECT_EQ(slots.at(t).get(c.dffs()[i]), golden.states[t].get(i));
+    }
+    for (std::size_t i = 0; i < c.num_inputs(); ++i) {
+      EXPECT_EQ(slots.at(t).get(c.inputs()[i]), tb.vector(t).get(i));
+    }
+  }
 }
 
 }  // namespace

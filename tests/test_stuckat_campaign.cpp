@@ -2,23 +2,21 @@
 // fanout-free collapse (reused from SetSites), the every-cycle force
 // overlay (op-tagged AND/OR masks), test-pattern classification semantics
 // (no convergence retirement; undetected faults map latent/silent by the
-// final state) — always cross-checked against the interpreted per-fault
-// reference simulator across lane widths and thread counts.
+// final state), the four-model API and b14's coverage band. Agreement with
+// the serial reference across lane widths and thread counts is the
+// differential harness's job (test_campaign_diff.cpp).
 //
 // Suites named *Slow* are split into the `slow` ctest label by CMake; the
 // rest run under `tier1`.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <map>
-#include <random>
 
 #include "circuits/b14.h"
 #include "circuits/generators.h"
 #include "circuits/registry.h"
 #include "common/error.h"
-#include "engine_matrix.h"
 #include "fault/fault_list.h"
 #include "fault/model_traits.h"
 #include "fault/parallel_faultsim.h"
@@ -31,33 +29,6 @@ namespace {
 CampaignConfig stuckat_config(LaneWidth lanes = LaneWidth::k512,
                               unsigned threads = 1) {
   return {SimBackend::kCompiled, lanes, threads};
-}
-
-void expect_same_stuckat_outcomes(const StuckAtCampaignResult& a,
-                                  const StuckAtCampaignResult& b,
-                                  const char* label) {
-  ASSERT_EQ(a.faults.size(), b.faults.size()) << label;
-  for (std::size_t i = 0; i < a.faults.size(); ++i) {
-    ASSERT_EQ(a.faults[i], b.faults[i]) << label << " fault order @" << i;
-    ASSERT_EQ(a.outcomes[i], b.outcomes[i])
-        << label << " fault (node=" << a.faults[i].node << ", "
-        << stuckat_polarity_name(a.faults[i].stuck_one) << ")";
-  }
-}
-
-// Grades `faults` under the interpreted per-fault reference and every
-// compiled engine configuration and requires identical per-fault outcomes
-// in caller order.
-void stuckat_cross_check(const Circuit& circuit, const Testbench& tb,
-                         std::span<const StuckAtFault> faults,
-                         const char* label) {
-  SerialStuckAtSimulator serial(circuit, tb);
-  const StuckAtCampaignResult ref = serial.run(faults);
-  for (const CampaignConfig& config : compiled_engine_matrix()) {
-    SCOPED_TRACE(engine_label(config));
-    ParallelFaultSimulator sim(circuit, tb, config);
-    expect_same_stuckat_outcomes(ref, sim.run_stuckat(faults), label);
-  }
 }
 
 // ---- descriptor surface ----------------------------------------------------
@@ -209,8 +180,9 @@ TEST(StuckAtSemanticsTest, UnexcitedFaultIsSilentAndRedundantGateMasked) {
       {masked, true},
       {always1, false},  // forcing 0 onto a PO driver: detected cycle 0
   };
-  stuckat_cross_check(c, tb, faults, "stuckat-edge");
   const StuckAtCampaignResult result = sim.run_stuckat(faults);
+  EXPECT_EQ(result.outcomes,
+            SerialStuckAtSimulator(c, tb).run(faults).outcomes);
   EXPECT_EQ(result.outcomes[0].cls, FaultClass::kSilent);
   EXPECT_EQ(result.outcomes[1].cls, FaultClass::kSilent);
   EXPECT_EQ(result.outcomes[2].cls, FaultClass::kSilent);
@@ -252,9 +224,10 @@ TEST(StuckAtSemanticsTest, ReExcitationIsNotLostToConvergence) {
   tb.add_vector(vec(false, true));
 
   const std::vector<StuckAtFault> faults = {{vict, false}};
-  stuckat_cross_check(c, tb, faults, "re-excitation");
   ParallelFaultSimulator sim(c, tb, stuckat_config());
   const StuckAtCampaignResult result = sim.run_stuckat(faults);
+  EXPECT_EQ(result.outcomes,
+            SerialStuckAtSimulator(c, tb).run(faults).outcomes);
   ASSERT_EQ(result.outcomes.size(), 1u);
   EXPECT_EQ(result.outcomes[0].cls, FaultClass::kFailure);
   EXPECT_EQ(result.outcomes[0].detect_cycle, 5u);
@@ -270,39 +243,7 @@ TEST(StuckAtSemanticsTest, RequiresCompiledBackend) {
   EXPECT_THROW((void)sim.run_stuckat(faults), Error);
 }
 
-// ---- cross-validation at scale ---------------------------------------------
-
-class StuckAtCampaignAgreement
-    : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(StuckAtCampaignAgreement, RandomCircuitCompleteRepCampaign) {
-  circuits::RandomCircuitSpec spec;
-  spec.num_inputs = 6;
-  spec.num_outputs = 5;
-  spec.num_dffs = 14;
-  spec.num_gates = 180;
-  const Circuit c = circuits::build_random(spec, GetParam());
-  const Testbench tb = random_testbench(spec.num_inputs, 24, GetParam() + 5);
-  const SetSites sites(c);
-  const auto faults = complete_stuckat_fault_list(sites);
-  stuckat_cross_check(c, tb, faults, "complete-rep-campaign");
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, StuckAtCampaignAgreement,
-                         ::testing::Range<std::uint64_t>(0, 3));
-
-TEST(StuckAtCampaignTest, ShuffledOrderAlignsWithCaller) {
-  const Circuit c = circuits::build_by_name("b06_like");
-  const Testbench tb = random_testbench(c.num_inputs(), 20, 9);
-  ParallelFaultSimulator sim(c, tb, stuckat_config());
-  EXPECT_EQ(sim.run_stuckat({}).counts.total(), 0u);
-
-  const SetSites sites(c);
-  auto faults = complete_stuckat_fault_list(sites);
-  std::mt19937_64 rng(99);
-  std::shuffle(faults.begin(), faults.end(), rng);
-  stuckat_cross_check(c, tb, faults, "shuffled-stuckat");
-}
+// ---- unified API -----------------------------------------------------------
 
 TEST(UnifiedCampaignTest, OneConfigDrivesAllFourModels) {
   // One simulator instance, one config: SEU, MBU, SET and stuck-at
@@ -328,39 +269,18 @@ TEST(UnifiedCampaignTest, OneConfigDrivesAllFourModels) {
 
 // ---- b14 (slow label) ------------------------------------------------------
 
-TEST(StuckAtCampaignSlowTest, B14SampledCampaignAgreesEverywhere) {
-  // The acceptance cross-check: a sampled b14 stuck-at campaign must
-  // produce identical per-fault outcomes across the interpreted reference
-  // and every compiled configuration (lane widths, thread counts).
-  const Circuit c = circuits::build_b14();
-  const Testbench tb = random_testbench(c.num_inputs(), 48, 2005);
-  const SetSites sites(c);
-  const auto faults = sample_stuckat_fault_list(sites, 160, 7);
-  stuckat_cross_check(c, tb, faults, "b14-sampled-stuckat");
-}
-
-TEST(StuckAtCampaignSlowTest, B14ThreadedDeterminismAndCoverage) {
+TEST(StuckAtCampaignSlowTest, B14CompleteListCoverageBand) {
   const Circuit c = circuits::build_b14();
   const Testbench tb = random_testbench(c.num_inputs(), 60, 2005);
   const SetSites sites(c);
-  const auto faults = complete_stuckat_fault_list(sites);
-
-  ParallelFaultSimulator single(c, tb, stuckat_config(LaneWidth::k512, 1));
-  const StuckAtCampaignResult base = single.run_stuckat(faults);
+  ParallelFaultSimulator sim(c, tb, stuckat_config());
+  const StuckAtCampaignResult result =
+      sim.run_stuckat(complete_stuckat_fault_list(sites));
   // 60 purely random vectors reach only a modest slice of b14's control
   // logic (~26% coverage) — the floor guards against broken
   // excitation/observation, not against weak patterns.
-  EXPECT_GT(base.fault_coverage(), 0.15);
-  EXPECT_LT(base.fault_coverage(), 0.9);
-
-  for (const unsigned threads : {2u, 8u}) {
-    ParallelFaultSimulator sharded(
-        c, tb, stuckat_config(LaneWidth::k512, threads));
-    expect_same_stuckat_outcomes(base, sharded.run_stuckat(faults),
-                                 "threaded-stuckat");
-    EXPECT_EQ(single.last_run_eval_cycles(), sharded.last_run_eval_cycles());
-    EXPECT_EQ(single.last_run_eval_instrs(), sharded.last_run_eval_instrs());
-  }
+  EXPECT_GT(result.fault_coverage(), 0.15);
+  EXPECT_LT(result.fault_coverage(), 0.9);
 }
 
 }  // namespace

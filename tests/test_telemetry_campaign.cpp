@@ -1,9 +1,9 @@
 // Campaign telemetry (obs::TelemetryCollector wired through
-// CampaignConfig::telemetry): attaching a collector must be provably
-// outcome-neutral across every fault model, lane tier and thread count; the
-// merged metrics must be bit-identical for any thread count; and the
-// exported trace/metrics JSON must be well-formed and consistent with the
-// engine's own work metrics.
+// CampaignConfig::telemetry): the merged metrics must be bit-identical for
+// any thread count, and the exported trace/metrics JSON must be well-formed
+// and consistent with the engine's own work metrics. That attaching a
+// collector is outcome-neutral for every fault model is checked by the
+// differential harness (test_campaign_diff.cpp).
 
 #include <gtest/gtest.h>
 
@@ -14,13 +14,9 @@
 #include <vector>
 
 #include "circuits/generators.h"
-#include "engine_matrix.h"
 #include "fault/fault_list.h"
 #include "fault/journal.h"
-#include "fault/mbu.h"
 #include "fault/parallel_faultsim.h"
-#include "fault/set_model.h"
-#include "fault/stuckat_model.h"
 #include "json_mini.h"
 #include "obs/telemetry.h"
 #include "stim/generate.h"
@@ -44,84 +40,6 @@ CampaignConfig engine_config(LaneWidth lanes, unsigned threads,
   return config;
 }
 
-void expect_same_outcomes(std::span<const FaultOutcome> a,
-                          std::span<const FaultOutcome> b, const char* label) {
-  ASSERT_EQ(a.size(), b.size()) << label;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i], b[i]) << label << " @" << i;
-  }
-}
-
-/// Work metrics that must not move when a collector is attached (or when
-/// the thread count changes): the deterministic part of the telemetry.
-void expect_same_work_metrics(const ParallelFaultSimulator& a,
-                              const ParallelFaultSimulator& b,
-                              const char* label) {
-  EXPECT_EQ(a.last_run_eval_cycles(), b.last_run_eval_cycles()) << label;
-  EXPECT_EQ(a.last_run_eval_instrs(), b.last_run_eval_instrs()) << label;
-  EXPECT_EQ(a.last_run_eval_slot_bytes(), b.last_run_eval_slot_bytes())
-      << label;
-  EXPECT_DOUBLE_EQ(a.last_run_lane_occupancy(), b.last_run_lane_occupancy())
-      << label;
-  EXPECT_EQ(a.last_run_group_widths().g64, b.last_run_group_widths().g64)
-      << label;
-  EXPECT_EQ(a.last_run_group_widths().g512, b.last_run_group_widths().g512)
-      << label;
-}
-
-// ---- outcome neutrality ----------------------------------------------------
-
-TEST(TelemetryCampaignTest, AttachingTelemetryIsOutcomeNeutralEverywhere) {
-  // All 4 fault models x the engine matrix: classifications AND
-  // deterministic work metrics must be bit-identical with and without a
-  // collector attached.
-  const Circuit c = medium_random_circuit(13);
-  const Testbench tb = random_testbench(c.num_inputs(), 36, 17);
-  const auto seu = sample_fault_list(c.num_dffs(), tb.num_cycles(), 333, 23);
-  const auto mbu = adjacent_pair_fault_list(c.num_dffs(), tb.num_cycles());
-  const SetSites sites(c);
-  const auto set = sample_set_fault_list(sites, tb.num_cycles(), 300, 29);
-  const auto stuck = complete_stuckat_fault_list(sites);
-
-  for (const CampaignConfig& base : compiled_engine_matrix()) {
-    SCOPED_TRACE(engine_label(base));
-    {
-      obs::TelemetryCollector collector;
-      CampaignConfig with = base;
-      with.telemetry = &collector;
-      ParallelFaultSimulator off(c, tb, base);
-      ParallelFaultSimulator on(c, tb, with);
-
-      expect_same_outcomes(off.run(seu).outcomes(), on.run(seu).outcomes(),
-                           "seu");
-      expect_same_work_metrics(off, on, "seu");
-      expect_same_outcomes(off.run_mbu(mbu).outcomes,
-                           on.run_mbu(mbu).outcomes, "mbu");
-      expect_same_work_metrics(off, on, "mbu");
-      expect_same_outcomes(off.run_set(set).outcomes,
-                           on.run_set(set).outcomes, "set");
-      expect_same_work_metrics(off, on, "set");
-      expect_same_outcomes(off.run_stuckat(stuck).outcomes,
-                           on.run_stuckat(stuck).outcomes, "stuckat");
-      expect_same_work_metrics(off, on, "stuckat");
-
-      // The collector saw every campaign: faults_retired must equal the
-      // total lanes graded across the four runs.
-      const obs::MetricSnapshot snap = collector.snapshot();
-      const auto counter = [&](const char* name) -> std::uint64_t {
-        const auto names = collector.registry().counter_names();
-        for (std::size_t i = 0; i < names.size(); ++i) {
-          if (names[i] == name) return snap.counters[i];
-        }
-        ADD_FAILURE() << "unknown counter " << name;
-        return 0;
-      };
-      EXPECT_EQ(counter("faults_retired"),
-                seu.size() + mbu.size() + set.size() + stuck.size());
-    }
-  }
-}
-
 // ---- merged-metric determinism ---------------------------------------------
 
 TEST(TelemetryCampaignTest, MergedMetricsBitIdenticalOneVsFourThreads) {
@@ -134,8 +52,7 @@ TEST(TelemetryCampaignTest, MergedMetricsBitIdenticalOneVsFourThreads) {
   obs::TelemetryCollector four;
   ParallelFaultSimulator sim1(c, tb, engine_config(LaneWidth::k64, 1, &one));
   ParallelFaultSimulator sim4(c, tb, engine_config(LaneWidth::k64, 4, &four));
-  expect_same_outcomes(sim1.run(faults).outcomes(),
-                       sim4.run(faults).outcomes(), "1t-vs-4t");
+  EXPECT_EQ(sim1.run(faults).outcomes(), sim4.run(faults).outcomes());
 
   const obs::MetricSnapshot a = one.snapshot();
   const obs::MetricSnapshot b = four.snapshot();
